@@ -7,13 +7,16 @@
 // the same machine do the same work and the JSON is directly comparable.
 //
 // Usage: bench_codec [--out=BENCH_codec.json] [--target-mb=256]
-// The commit id is taken from $THREELC_COMMIT when set (CI exports it).
+// The commit id is taken from $THREELC_COMMIT when set (CI exports it);
+// the file also records the host (CPU model, cores, compiler), since the
+// numbers are only comparable on the same hardware.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blockcodec/block_codec.h"
@@ -62,6 +65,30 @@ double GigabytesPerSecond(std::int64_t n, int iters, double seconds) {
   const double bytes =
       static_cast<double>(n) * sizeof(float) * static_cast<double>(iters);
   return bytes / seconds / 1e9;
+}
+
+// "<cpu model>, <n> cores, <compiler>".
+std::string HostFingerprint() {
+  std::string cpu = "unknown cpu";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        cpu = line.substr(colon + 2);
+      }
+      break;
+    }
+  }
+  return cpu + ", " + std::to_string(std::thread::hardware_concurrency()) +
+         " cores, " +
+#if defined(__clang__)
+         "clang " __clang_version__;
+#elif defined(__GNUC__)
+         "g++ " __VERSION__;
+#else
+         "unknown compiler";
+#endif
 }
 
 void AppendJsonString(std::string& out, const std::string& s) {
@@ -233,6 +260,8 @@ int main(int argc, char** argv) {
   json += "{\n  \"schema\": \"threelc-bench-v1\",\n  \"bench\": \"codec\",\n";
   json += "  \"commit\": ";
   AppendJsonString(json, commit);
+  json += ",\n  \"host\": ";
+  AppendJsonString(json, HostFingerprint());
   json += ",\n  \"metrics\": {\n";
   for (std::size_t i = 0; i < metrics.size(); ++i) {
     const Metric& m = metrics[i];

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "compress/quantize3.h"
+
 namespace threelc::compress {
 
 std::unique_ptr<Context> EightBitInt::MakeContext(const Shape&) const {
@@ -12,11 +14,7 @@ void EightBitInt::EncodeImpl(const Tensor& in, Context&, ByteBuffer& out,
                              EncodeStats*) const {
   const auto n = static_cast<std::size_t>(in.num_elements());
   const float* src = in.data();
-  float m = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float a = std::fabs(src[i]);
-    m = a > m ? a : m;
-  }
+  const float m = MaxAbs(src, n);
   out.AppendF32(m);
   const std::size_t base = out.size();
   out.Resize(base + n);
@@ -28,9 +26,9 @@ void EightBitInt::EncodeImpl(const Tensor& in, Context&, ByteBuffer& out,
   const float scale = 127.0f / m;
   for (std::size_t i = 0; i < n; ++i) {
     // |src[i]| <= m so the product is within [-127, 127]; +-0.5 rounding
-    // stays within int8 range.
+    // stays within int8 range. Round half away from zero, branch-free.
     const float v = src[i] * scale;
-    const float r = v >= 0.0f ? v + 0.5f : v - 0.5f;  // round half away
+    const float r = v + std::copysign(0.5f, v);
     dst[i] = static_cast<std::uint8_t>(static_cast<std::int8_t>(r));
   }
 }

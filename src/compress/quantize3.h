@@ -37,9 +37,30 @@ float Quantize3(const float* in, std::size_t n, float s, std::int8_t* out);
 void Dequantize3(const std::int8_t* q, std::size_t n, float M, float* out);
 
 // Quantizes and simultaneously computes the residual error
-// (residual[i] = in[i] - M * out[i]) in one pass — the fused kernel used by
-// the 3LC codec's error-accumulation step. Returns M.
+// (residual[i] = in[i] - M * out[i]) in one pass. Returns M. The three
+// buffers must not overlap. (The 3LC codec itself runs
+// Quantize3AccumulateBlock, which also adds the residual to the input.)
 float Quantize3WithResidual(const float* in, std::size_t n, float s,
                             std::int8_t* out, float* residual);
+
+// ---------------------------------------------------------------------------
+// Kernels shared by the functions above and the fused 3LC encoder, so the
+// max rule and the rounding rule each exist once. Output buffers must not
+// overlap any other argument.
+
+// max(|in[i]|), 0 for n == 0. NaN elements are ignored (`a > m ? a : m`);
+// computed over independent lanes, with exactly the scalar loop's result.
+float MaxAbs(const float* in, std::size_t n);
+
+// max(|in[i] + acc[i]|), with the same NaN rule as MaxAbs.
+float MaxAbsSum(const float* in, const float* acc, std::size_t n);
+
+// q[i] = round(in[i] / M) in {-1, 0, +1} for a precomputed M.
+void Quantize3Block(const float* in, std::size_t n, float M, std::int8_t* q);
+
+// Error-accumulation step: v = in[i] + residual[i], then q[i] = round(v / M)
+// and residual[i] = v - M * q[i].
+void Quantize3AccumulateBlock(const float* in, std::size_t n, float M,
+                              std::int8_t* q, float* residual);
 
 }  // namespace threelc::compress

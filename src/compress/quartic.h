@@ -15,6 +15,7 @@
 // supplies the element count.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -33,6 +34,30 @@ inline constexpr std::size_t kQuarticGroup = 5;
 constexpr std::size_t QuarticEncodedSize(std::size_t n) {
   return (n + kQuarticGroup - 1) / kQuarticGroup;
 }
+
+// Digits of every legal byte, most significant first:
+// kQuarticDigits[b][k] = b / 3^(4-k) % 3, in {0, 1, 2}. Decoding by table
+// lookup replaces the paper's divide-and-modulo digit extraction.
+using QuarticDigits = std::array<std::array<std::uint8_t, 5>, 243>;
+inline constexpr QuarticDigits kQuarticDigits = [] {
+  QuarticDigits t{};
+  for (int b = 0; b <= kQuarticMaxByte; ++b) {
+    int rest = b;
+    for (int k = 4; k >= 0; --k) {
+      t[b][k] = static_cast<std::uint8_t>(rest % 3);
+      rest /= 3;
+    }
+  }
+  return t;
+}();
+
+// Block kernel shared with the fused 3LC encoder: packs `groups` full
+// groups of five ternary values, q[5g .. 5g+4], into dst[g].
+void QuarticPackGroups(const std::int8_t* q, std::size_t groups,
+                       std::uint8_t* dst);
+
+// True when every byte is a legal quartic byte (<= kQuarticMaxByte).
+bool QuarticBytesValid(util::ByteSpan in);
 
 // Packs n ternary values (each in {-1, 0, +1}) into QuarticEncodedSize(n)
 // bytes appended to `out`.

@@ -7,6 +7,7 @@
 
 #include "compress/quartic.h"
 #include "compress/quantize3.h"
+#include "compress/zero_run.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -46,11 +47,7 @@ void StochThreeValueQE::EncodeImpl(const Tensor& in, Context& ctx,
   const auto n = static_cast<std::size_t>(in.num_elements());
   THREELC_CHECK_MSG(c.ternary_.size() == n, "context/tensor shape mismatch");
   const float* src = in.data();
-  float m = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float a = std::fabs(src[i]);
-    m = a > m ? a : m;
-  }
+  const float m = MaxAbs(src, n);
   std::int8_t* q = c.ternary_.data();
   if (m == 0.0f) {
     for (std::size_t i = 0; i < n; ++i) q[i] = 0;
@@ -86,9 +83,11 @@ void StochThreeValueQE::Decode(ByteReader& in, Tensor& out) const {
     throw std::runtime_error("StochThreeValueQE decode: size mismatch");
   }
   util::ByteSpan payload = in.ReadSpan(len);
-  std::vector<std::int8_t> ternary(n);
-  QuarticDecode(payload, n, ternary.data());
-  Dequantize3(ternary.data(), n, m, out.data());
+  if (!QuarticBytesValid(payload)) {
+    throw std::runtime_error(
+        "StochThreeValueQE decode: byte value out of range");
+  }
+  ZeroRunExpandDequantize(payload, n, m, out.data());
 }
 
 }  // namespace threelc::compress

@@ -1,6 +1,8 @@
 #include "compress/three_lc.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -8,21 +10,22 @@
 #include "compress/quartic.h"
 #include "compress/zero_run.h"
 #include "obs/stage_profiler.h"
-#include "tensor/tensor_ops.h"
 #include "util/logging.h"
 
 namespace threelc::compress {
 
 namespace {
 
+// Elements per fused quantize + pack block: whole quartic groups, and small
+// enough that the block's ternary digits stay in L1 between the two steps.
+constexpr std::size_t kBlock = 256 * kQuarticGroup;
+
 class ThreeLCContext final : public Context {
  public:
   explicit ThreeLCContext(const Shape& shape, bool error_accumulation)
-      : has_residual_(error_accumulation) {
-    const auto n = static_cast<std::size_t>(shape.num_elements());
-    if (has_residual_) residual_.assign(n, 0.0f);
-    accum_.assign(n, 0.0f);
-    ternary_.assign(n, 0);
+      : n_(static_cast<std::size_t>(shape.num_elements())),
+        has_residual_(error_accumulation) {
+    if (has_residual_) residual_.assign(n_, 0.0f);
   }
 
   std::size_t StateBytes() const override {
@@ -48,12 +51,22 @@ class ThreeLCContext final : public Context {
     for (float& r : residual_) r = in.ReadF32();
   }
 
+  std::size_t n_;                    // elements of the tensor
   bool has_residual_;
   std::vector<float> residual_;      // error accumulation buffer (persistent)
-  std::vector<float> accum_;         // scratch: input + residual
-  std::vector<std::int8_t> ternary_; // scratch: quantized values
-  ByteBuffer quartic_;               // scratch: stage-(3) output
 };
+
+void CountSymbols(const std::int8_t* q, std::size_t n, EncodeStats& stats) {
+  std::size_t positives = 0;
+  std::size_t negatives = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    positives += q[i] > 0;
+    negatives += q[i] < 0;
+  }
+  stats.positives += positives;
+  stats.negatives += negatives;
+  stats.zeros += n - positives - negatives;
+}
 
 }  // namespace
 
@@ -81,73 +94,68 @@ void ThreeLC::EncodeImpl(const Tensor& in, Context& ctx, ByteBuffer& out,
   obs::ScopedStage encode_stage(&obs::StageProfiler::Global(), "3lc_encode");
   auto& c = static_cast<ThreeLCContext&>(ctx);
   const auto n = static_cast<std::size_t>(in.num_elements());
-  THREELC_CHECK_MSG(c.accum_.size() == n, "context/tensor shape mismatch");
+  THREELC_CHECK_MSG(c.n_ == n, "context/tensor shape mismatch");
+  const float* src = in.data();
+  float* residual = c.has_residual_ ? c.residual_.data() : nullptr;
 
-  // Step (1): accumulate the input into the local buffer.
-  {
-    obs::ScopedStage stage(&obs::StageProfiler::Global(), "accumulate");
-    const float* src = in.data();
-    float* acc = c.accum_.data();
-    if (c.has_residual_) {
-      const float* res = c.residual_.data();
-      for (std::size_t i = 0; i < n; ++i) acc[i] = src[i] + res[i];
-    } else {
-      for (std::size_t i = 0; i < n; ++i) acc[i] = src[i];
-    }
-  }
-
-  // Steps (2), (a), (b): quantize; keep the remaining error locally.
+  // Pass 1, steps (1) + (2) Eq. 1: M = max|input + residual| * s. The sum
+  // is recomputed in pass 2 rather than stored.
   float M;
   {
-    obs::ScopedStage stage(&obs::StageProfiler::Global(), "quantize");
-    if (c.has_residual_) {
-      M = Quantize3WithResidual(c.accum_.data(), n,
-                                options_.sparsity_multiplier,
-                                c.ternary_.data(), c.residual_.data());
-    } else {
-      M = Quantize3(c.accum_.data(), n, options_.sparsity_multiplier,
-                    c.ternary_.data());
-    }
+    obs::ScopedStage stage(&obs::StageProfiler::Global(), "max_abs");
+    M = (residual != nullptr ? MaxAbsSum(src, residual, n) : MaxAbs(src, n)) *
+        options_.sparsity_multiplier;
   }
 
-  // Step (3): quartic encoding.
-  {
-    obs::ScopedStage stage(&obs::StageProfiler::Global(), "quartic");
-    c.quartic_.Clear();
-    QuarticEncode(c.ternary_.data(), n, c.quartic_);
-  }
-
-  // Step (4): zero-run encoding (optional), then frame the payload.
+  // Wire frame [f32 M][u32 payload_len][payload]; the length is patched in
+  // once zero-run encoding has settled it.
   out.AppendF32(M);
-  if (options_.zero_run) {
-    ByteBuffer zre;
-    {
-      obs::ScopedStage stage(&obs::StageProfiler::Global(), "zre");
-      zre.Reserve(c.quartic_.size());
-      ZeroRunEncode(c.quartic_.span(), zre);
+  const std::size_t len_pos = out.size();
+  out.AppendU32(0);
+  const std::size_t payload_pos = out.size();
+  const std::size_t quartic_len = QuarticEncodedSize(n);
+  out.Resize(payload_pos + quartic_len);
+  std::uint8_t* payload = out.data() + payload_pos;
+
+  // Pass 2, steps (2) + (a)/(b) + (3): per block, quantize while folding the
+  // remaining error back into the residual, then pack five digits per byte
+  // straight into the frame.
+  {
+    obs::ScopedStage stage(&obs::StageProfiler::Global(), "quantize_pack");
+    std::int8_t q[kBlock] = {};
+    for (std::size_t base = 0; base < n; base += kBlock) {
+      const std::size_t m = std::min(kBlock, n - base);
+      if (residual != nullptr) {
+        Quantize3AccumulateBlock(src + base, m, M, q, residual + base);
+      } else {
+        Quantize3Block(src + base, m, M, q);
+      }
+      if (stats != nullptr) CountSymbols(q, m, *stats);
+      // Only the tensor's last block can be partial; its padded tail group
+      // holds quantized zeros, as QuarticEncode pads.
+      const std::size_t groups = QuarticEncodedSize(m);
+      std::fill(q + m, q + groups * kQuarticGroup, std::int8_t{0});
+      QuarticPackGroups(q, groups, payload + base / kQuarticGroup);
     }
-    obs::ScopedStage stage(&obs::StageProfiler::Global(), "serialize");
-    out.AppendU32(static_cast<std::uint32_t>(zre.size()));
-    out.Append(zre.span());
+  }
+
+  // Step (4): zero-run encoding, compacting the quartic bytes in place.
+  std::size_t payload_len = quartic_len;
+  if (options_.zero_run) {
+    obs::ScopedStage stage(&obs::StageProfiler::Global(), "zre");
+    payload_len = ZeroRunEncode(payload, quartic_len, payload);
+    out.Resize(payload_pos + payload_len);
     if (stats != nullptr) {
       stats->has_zero_run = true;
-      stats->zre_bytes_in = c.quartic_.size();
-      stats->zre_bytes_out = zre.size();
+      stats->zre_bytes_in = quartic_len;
+      stats->zre_bytes_out = payload_len;
     }
-  } else {
-    obs::ScopedStage stage(&obs::StageProfiler::Global(), "serialize");
-    out.AppendU32(static_cast<std::uint32_t>(c.quartic_.size()));
-    out.Append(c.quartic_.span());
   }
+  const auto len32 = static_cast<std::uint32_t>(payload_len);
+  std::memcpy(out.data() + len_pos, &len32, sizeof(len32));
 
   if (stats != nullptr) {
     stats->has_symbols = true;
-    const std::int8_t* q = c.ternary_.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (q[i] == 0) ++stats->zeros;
-      else if (q[i] > 0) ++stats->positives;
-      else ++stats->negatives;
-    }
     if (c.has_residual_) {
       stats->has_residual = true;
       double sq = 0.0;
@@ -166,27 +174,24 @@ void ThreeLC::Decode(ByteReader& in, Tensor& out) const {
   const std::uint32_t len = in.ReadU32();
   util::ByteSpan payload = in.ReadSpan(len);
 
+  // Validate the whole payload before writing `out`, so a corrupt push
+  // leaves the destination untouched.
   const std::size_t quartic_len = QuarticEncodedSize(n);
-  std::vector<std::int8_t> ternary(n);
-  if (options_.zero_run) {
-    ByteBuffer quartic;
-    {
-      obs::ScopedStage stage(&obs::StageProfiler::Global(), "zre");
-      quartic.Reserve(quartic_len);
-      const std::size_t produced =
-          ZeroRunDecode(payload, quartic, quartic_len);
-      if (produced != quartic_len) {
+  {
+    obs::ScopedStage stage(&obs::StageProfiler::Global(), "check");
+    if (options_.zero_run) {
+      if (ZeroRunDecodedSize(payload) != quartic_len) {
         throw std::runtime_error("3LC decode: zero-run payload size mismatch");
       }
+    } else if (payload.size() != quartic_len) {
+      throw std::runtime_error("3LC decode: quartic payload size mismatch");
+    } else if (!QuarticBytesValid(payload)) {
+      throw std::runtime_error("3LC decode: quartic byte value out of range");
     }
-    obs::ScopedStage stage(&obs::StageProfiler::Global(), "quartic");
-    QuarticDecode(quartic.span(), n, ternary.data());
-  } else {
-    obs::ScopedStage stage(&obs::StageProfiler::Global(), "quartic");
-    QuarticDecode(payload, n, ternary.data());
   }
-  obs::ScopedStage stage(&obs::StageProfiler::Global(), "dequantize");
-  Dequantize3(ternary.data(), n, M, out.data());
+  // One pass: zero runs, digit lookup and dequantization together.
+  obs::ScopedStage stage(&obs::StageProfiler::Global(), "expand");
+  ZeroRunExpandDequantize(payload, n, M, out.data());
 }
 
 }  // namespace threelc::compress

@@ -6,6 +6,13 @@
 //   (3) quartic encoding (5 ternary values per byte)
 //   (4) zero-run encoding (runs of byte 121 -> one byte 243..255)
 //
+// The encoder fuses these into two passes over the tensor plus the ZRE
+// byte scan: pass 1 finds M from input + residual; pass 2, block by block,
+// recomputes input + residual, quantizes, updates the residual and packs
+// the quartic bytes straight into `out`, which ZRE then compacts in place.
+// Decode validates the payload, then expands zero runs, quartic digits and
+// dequantized values into the output tensor in one allocation-free pass.
+//
 // Wire format per tensor:
 //   [f32 M][u32 payload_len][payload bytes]
 // where payload is the (optionally zero-run-encoded) quartic bytes. The

@@ -29,11 +29,31 @@ inline constexpr std::size_t kZreMaxRun = 14;      // 243 + (14-2) = 255
 // `out`. Returns the number of bytes appended.
 std::size_t ZeroRunEncode(util::ByteSpan in, util::ByteBuffer& out);
 
+// Raw form: writes the encoding of in[0, n) to `out` and returns its length
+// (<= n). `out` may equal `in`: every output byte covers at least one input
+// byte, so the scan never overwrites a byte it has yet to read. The fused
+// 3LC encoder uses this to compact quartic bytes in place.
+std::size_t ZeroRunEncode(const std::uint8_t* in, std::size_t n,
+                          std::uint8_t* out);
+
 // Appends the decoded quartic bytes to `out`. Throws std::runtime_error if
-// the expansion would exceed `max_output` bytes (corruption guard).
-// Returns the number of bytes appended.
+// the expansion would exceed `max_output` bytes (corruption guard), in which
+// case nothing is appended. Returns the number of bytes appended.
 std::size_t ZeroRunDecode(util::ByteSpan in, util::ByteBuffer& out,
                           std::size_t max_output);
+
+// Number of quartic bytes `in` expands to.
+std::size_t ZeroRunDecodedSize(util::ByteSpan in);
+
+// One-pass decode of a quartic payload, zero-run encoded or not, straight
+// into dequantized floats: each digit d becomes M * (d - 1), exactly as
+// QuarticDecode + Dequantize3 compute it. Writes n floats, dropping the
+// padding of the last group. The caller validates `in` first: bytes 0..242
+// are groups, 243..255 are zero runs, and the groups must number exactly
+// QuarticEncodedSize(n) (ZeroRunDecodedSize(in), or in.size() when every
+// byte is <= kQuarticMaxByte).
+void ZeroRunExpandDequantize(util::ByteSpan in, std::size_t n, float M,
+                             float* out);
 
 // Upper bound on encoded size (ZRE never expands: every output byte covers
 // at least one input byte).

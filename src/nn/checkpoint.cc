@@ -39,6 +39,10 @@ constexpr std::uint32_t kServerVersion = 1;
 constexpr char kContainerMagic[4] = {'3', 'L', 'C', 'Z'};
 constexpr std::uint32_t kContainerVersion = 1;
 constexpr std::size_t kContainerHeaderBytes = 4 + 4 + 1 + 8 + 4 + 4;
+// Initial capacity of a checkpoint blob: the header and the first tensors
+// fit without regrowth. (Reserving up front also keeps GCC 12 at -O3 from
+// a false -Wstringop-overflow on the first few-byte appends.)
+constexpr std::size_t kBlobInitialBytes = std::size_t{1} << 16;
 // Defense against a corrupt raw_size committing us to a huge allocation;
 // far above any checkpoint this repo writes.
 constexpr std::uint64_t kMaxContainerRawBytes = 1ull << 32;
@@ -125,7 +129,7 @@ void WriteBlob(const std::string& path, const util::ByteBuffer& blob,
     util::ByteBuffer encoded;
     codec->Encode(blob.span(), encoded);
     if (encoded.size() + kContainerHeaderBytes < blob.size()) {
-      util::ByteBuffer header;
+      util::ByteBuffer header(kContainerHeaderBytes);
       header.Append(kContainerMagic, sizeof(kContainerMagic));
       header.AppendU32(kContainerVersion);
       header.AppendU8(codec->id());
@@ -363,7 +367,7 @@ void ReadServerStateSection(CrcReader& body, ServerState* state) {
 
 void SaveCheckpoint(Model& model, const std::string& path, bool checksum,
                     const std::string& block_codec, util::Fs* fs) {
-  util::ByteBuffer blob;
+  util::ByteBuffer blob(kBlobInitialBytes);
   blob.Append(kMagic, sizeof(kMagic));
   const std::uint32_t version = checksum ? kVersionChecksum : kVersionPlain;
   blob.Append(&version, sizeof(version));
@@ -377,7 +381,7 @@ void SaveCheckpoint(Model& model, const std::string& path, bool checksum,
 void SaveCheckpointWithState(Model& model, const TrainState& state,
                              const std::string& path,
                              const std::string& block_codec, util::Fs* fs) {
-  util::ByteBuffer blob;
+  util::ByteBuffer blob(kBlobInitialBytes);
   blob.Append(kMagic, sizeof(kMagic));
   const std::uint32_t version = kVersionTrainState;
   blob.Append(&version, sizeof(version));
@@ -401,7 +405,7 @@ void LoadCheckpointState(Model& model, TrainState* state,
 void SaveServerCheckpoint(Model& model, const ServerState& state,
                           const std::string& path,
                           const std::string& block_codec, util::Fs* fs) {
-  util::ByteBuffer blob;
+  util::ByteBuffer blob(kBlobInitialBytes);
   blob.Append(kServerMagic, sizeof(kServerMagic));
   const std::uint32_t version = kServerVersion;
   blob.Append(&version, sizeof(version));

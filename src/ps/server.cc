@@ -87,7 +87,8 @@ void ParameterServer::PreparePulls(std::vector<compress::EncodeStats>* stats) {
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
     const tensor::Tensor& value = *params_[i].value;
-    slot.delta = tensor::Difference(value, slot.prev_value);
+    slot.delta = value;  // reuses delta's storage: no allocation per step
+    tensor::Sub(slot.delta, slot.prev_value);
     slot.pull_payload.Clear();
     if (plan_->entry(i).compressed) {
       codec_->Encode(slot.delta, *slot.pull_ctx, slot.pull_payload,
