@@ -12,13 +12,11 @@
 // numbers are only comparable on the same hardware.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "blockcodec/block_codec.h"
 #include "compress/factory.h"
 #include "compress/quantize3.h"
@@ -32,13 +30,6 @@
 using namespace threelc;
 
 namespace {
-
-struct Metric {
-  std::string key;
-  double value = 0.0;
-  std::string unit;
-  bool higher_is_better = true;
-};
 
 tensor::Tensor MakeInput(std::int64_t n, double zero_prob) {
   util::Rng rng(99);
@@ -67,39 +58,6 @@ double GigabytesPerSecond(std::int64_t n, int iters, double seconds) {
   return bytes / seconds / 1e9;
 }
 
-// "<cpu model>, <n> cores, <compiler>".
-std::string HostFingerprint() {
-  std::string cpu = "unknown cpu";
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  for (std::string line; std::getline(cpuinfo, line);) {
-    if (line.rfind("model name", 0) == 0) {
-      const std::size_t colon = line.find(':');
-      if (colon != std::string::npos && colon + 2 <= line.size()) {
-        cpu = line.substr(colon + 2);
-      }
-      break;
-    }
-  }
-  return cpu + ", " + std::to_string(std::thread::hardware_concurrency()) +
-         " cores, " +
-#if defined(__clang__)
-         "clang " __clang_version__;
-#elif defined(__GNUC__)
-         "g++ " __VERSION__;
-#else
-         "unknown compiler";
-#endif
-}
-
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -107,9 +65,6 @@ int main(int argc, char** argv) {
   const std::string out_path = flags.GetString("out", "BENCH_codec.json");
   const double target_mb = flags.GetDouble("target-mb", 256.0);
   const double target_bytes = target_mb * 1e6;
-
-  const char* commit_env = std::getenv("THREELC_COMMIT");
-  const std::string commit = commit_env != nullptr ? commit_env : "unknown";
 
   struct Named {
     std::string label;
@@ -125,7 +80,7 @@ int main(int argc, char** argv) {
   // Gradient-like sparsity so ZRE has runs to compress, as in training.
   const double zero_prob = 0.5;
 
-  std::vector<Metric> metrics;
+  std::vector<bench::Metric> metrics;
   for (const Named& named : codecs) {
     auto codec = compress::MakeCompressor(named.config);
     for (std::int64_t n : sizes) {
@@ -256,33 +211,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string json;
-  json += "{\n  \"schema\": \"threelc-bench-v1\",\n  \"bench\": \"codec\",\n";
-  json += "  \"commit\": ";
-  AppendJsonString(json, commit);
-  json += ",\n  \"host\": ";
-  AppendJsonString(json, HostFingerprint());
-  json += ",\n  \"metrics\": {\n";
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    const Metric& m = metrics[i];
-    json += "    ";
-    AppendJsonString(json, m.key);
-    json += ": {\"value\": " + std::to_string(m.value) + ", \"unit\": ";
-    AppendJsonString(json, m.unit);
-    json += ", \"higher_is_better\": ";
-    json += m.higher_is_better ? "true" : "false";
-    json += "}";
-    if (i + 1 < metrics.size()) json += ",";
-    json += "\n";
-  }
-  json += "  }\n}\n";
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "bench_codec: cannot open " << out_path << "\n";
-    return 1;
-  }
-  out << json;
-  std::cerr << "bench_codec: wrote " << out_path << "\n";
-  return 0;
+  return bench::WriteBenchJson(out_path, "codec", metrics) ? 0 : 1;
 }

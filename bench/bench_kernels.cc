@@ -16,9 +16,8 @@
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "obs/stage_profiler.h"
+#include "obs/phase.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 

@@ -25,9 +25,10 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "compress/factory.h"
 #include "data/synthetic.h"
-#include "obs/stage_profiler.h"
+#include "obs/phase.h"
 #include "obs/telemetry.h"
 #include "ps/plan.h"
 #include "ps/server.h"
@@ -42,22 +43,6 @@
 using namespace threelc;
 
 namespace {
-
-struct Metric {
-  std::string key;
-  double value = 0.0;
-  std::string unit;
-  bool higher_is_better = false;
-};
-
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
 
 // One worker lifecycle, mirroring tests/rpc_runtime_test.cc (including the
 // sampler seeding that makes the run reproducible).
@@ -92,8 +77,9 @@ bool RunOneWorker(const train::ExperimentConfig& config,
 }
 
 // Exact per-step wall times parsed from the telemetry step log — the
-// step/total_ms histogram's 5ms bins are too coarse to gate a 10%
-// regression on a low-single-digit-ms loopback step.
+// step/total_ms histogram's log2 buckets (each spans a factor of 2, so a
+// quantile is only known to within a factor of sqrt(2)) cannot gate a 10%
+// regression.
 std::vector<double> ParseStepWallMs(const std::string& path) {
   std::vector<double> out;
   std::ifstream in(path);
@@ -138,9 +124,6 @@ int main(int argc, char** argv) {
   const int num_workers = static_cast<int>(flags.GetInt("workers", 2));
   const std::string metrics_path =
       flags.GetString("metrics-out", "bench_step_metrics.jsonl");
-
-  const char* commit_env = std::getenv("THREELC_COMMIT");
-  const std::string commit = commit_env != nullptr ? commit_env : "unknown";
 
   train::ExperimentConfig config = train::SmallExperiment();
   train::TrainerConfig& tc = config.trainer;
@@ -225,15 +208,15 @@ int main(int argc, char** argv) {
   const double p95 = ExactQuantile(wall_ms, 0.95);
   const double p99 = ExactQuantile(wall_ms, 0.99);
 
-  std::vector<Metric> metrics;
+  std::vector<bench::Metric> metrics;
   metrics.push_back({"step_latency_ms/p50", p50, "ms", false});
   metrics.push_back({"step_latency_ms/p95", p95, "ms", false});
   metrics.push_back({"step_latency_ms/p99", p99, "ms", false});
   const char* phases[] = {"step_barrier", "decode",     "aggregate", "optimize",
                           "encode",       "checkpoint", "fan_out"};
   for (const char* phase : phases) {
-    obs::HistogramStat* h = tel.metrics().histogram(
-        std::string("step/") + phase + "_ms", 0.0, 1000.0, 200);
+    obs::HistogramStat* h =
+        tel.metrics().histogram(std::string("step/") + phase + "_ms");
     metrics.push_back({std::string("phase_mean_ms/") + phase,
                        h->stat().mean(), "ms", false});
   }
@@ -264,32 +247,7 @@ int main(int argc, char** argv) {
             << on_ns << "ns scope_off=" << off_ns << "ns overhead="
             << overhead_frac * 100.0 << "%\n";
 
-  std::string json;
-  json += "{\n  \"schema\": \"threelc-bench-v1\",\n  \"bench\": \"step\",\n";
-  json += "  \"commit\": ";
-  AppendJsonString(json, commit);
-  json += ",\n  \"metrics\": {\n";
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    const Metric& m = metrics[i];
-    json += "    ";
-    AppendJsonString(json, m.key);
-    json += ": {\"value\": " + std::to_string(m.value) + ", \"unit\": ";
-    AppendJsonString(json, m.unit);
-    json += ", \"higher_is_better\": ";
-    json += m.higher_is_better ? "true" : "false";
-    json += "}";
-    if (i + 1 < metrics.size()) json += ",";
-    json += "\n";
-  }
-  json += "  }\n}\n";
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "bench_step: cannot open " << out_path << "\n";
-    return 1;
-  }
-  out << json;
-  std::cerr << "bench_step: wrote " << out_path << "\n";
+  if (!bench::WriteBenchJson(out_path, "step", metrics)) return 1;
   std::remove(metrics_path.c_str());
 
   if (overhead_frac >= 0.02) {

@@ -9,7 +9,7 @@
 #include "compress/quantize3.h"
 #include "compress/quartic.h"
 #include "compress/zero_run.h"
-#include "obs/stage_profiler.h"
+#include "obs/phase.h"
 #include "util/logging.h"
 
 namespace threelc::compress {

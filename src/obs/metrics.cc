@@ -1,28 +1,42 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
+#include <cmath>
 #include <ostream>
 
 #include "obs/json.h"
 
 namespace threelc::obs {
 
+int HistogramStat::Bucket(double v) {
+  // Never convert a negative, NaN or out-of-range double to an integer:
+  // that is undefined behaviour.
+  const double ns = v * 1e6;
+  if (!std::isfinite(ns) || ns < 1.0) return 0;
+  if (ns >= 0x1p64) return kBuckets - 1;
+  return StageLog2Bucket(static_cast<std::uint64_t>(ns));
+}
+
+double HistogramStat::Quantile(double q) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const double mid_ms =
+      StageQuantileNs(buckets_, kBuckets, stat_.count(), q) * 1e-6;
+  return std::min(std::max(mid_ms, stat_.min()), stat_.max());
+}
+
 void HistogramStat::MergeFrom(const HistogramStat& other) {
   // Copy the other side out under its lock, then fold in under ours — never
   // hold both locks at once (two threads cross-merging must not deadlock).
   util::RunningStat other_stat;
-  util::Histogram other_bins(other.lo_, other.hi_, other.num_bins_);
+  std::uint64_t other_buckets[kBuckets];
   {
     std::lock_guard<std::mutex> lock(other.mu_);
     other_stat = other.stat_;
-    other_bins = other.bins_;
+    std::copy(other.buckets_, other.buckets_ + kBuckets, other_buckets);
   }
   std::lock_guard<std::mutex> lock(mu_);
   stat_.Merge(other_stat);
-  if (other.lo_ == lo_ && other.hi_ == hi_ && other.num_bins_ == num_bins_) {
-    bins_.Merge(other_bins);
-  }
-  // Bounds mismatch keeps our bins; the merged moments above still count
-  // the other side's mass.
+  for (int b = 0; b < kBuckets; ++b) buckets_[b] += other_buckets[b];
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -50,14 +64,13 @@ Gauge* MetricsRegistry::gauge(const std::string& name) {
   return it->second.get();
 }
 
-HistogramStat* MetricsRegistry::histogram(const std::string& name, double lo,
-                                          double hi, std::size_t bins) {
+HistogramStat* MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_
              .emplace(name, std::unique_ptr<HistogramStat>(
-                                new HistogramStat(&enabled_, lo, hi, bins)))
+                                new HistogramStat(&enabled_)))
              .first;
   }
   return it->second.get();
@@ -106,7 +119,7 @@ void MetricsRegistry::Merge(const MetricsRegistry& other) {
     }
   }
   for (const auto& [name, h] : hists) {
-    histogram(name, h->lo(), h->hi(), h->num_bins())->MergeFrom(*h);
+    histogram(name)->MergeFrom(*h);
   }
 }
 

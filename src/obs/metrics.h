@@ -9,7 +9,7 @@
 //    registry's lifetime; call sites look them up once and keep the pointer.
 //  - Counters and gauges are lock-free so worker threads on the pool can
 //    record concurrently; histograms take a mutex (per-phase cadence, not
-//    per-value hot paths).
+//    per-value hot paths) and use the stage profiler's log2 buckets.
 //  - Registries merge by metric name (Merge), so per-thread registries can
 //    be folded into one before export.
 //  - Exporters: JSONL (one metric object per line) and CSV.
@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/stage_profiler.h"
 #include "util/stats.h"
 
 namespace threelc::obs {
@@ -112,41 +113,42 @@ class Gauge {
   std::atomic<bool> set_{false};
 };
 
-// Distribution: RunningStat moments plus fixed bins for quantiles.
+// Distribution: exact RunningStat moments plus, for quantiles, the 64-bucket
+// log2 layout StageProfiler and ClusterView share. A value v is bucketed as
+// v * 1e6, so a millisecond value lands in exactly the profiler's nanosecond
+// bucket. Negative, NaN and infinite values go to bucket 0 (and still count
+// in the moments); values of 2^64 and above go to bucket 63.
 class HistogramStat {
  public:
+  static constexpr int kBuckets = StageProfiler::kHistogramBuckets;
+
   void Add(double v) {
     if (!enabled_->load(std::memory_order_relaxed)) return;
+    const int b = Bucket(v);
     std::lock_guard<std::mutex> lock(mu_);
     stat_.Add(v);
-    bins_.Add(v);
+    ++buckets_[b];
   }
   util::RunningStat stat() const {
     std::lock_guard<std::mutex> lock(mu_);
     return stat_;
   }
-  double Quantile(double q) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return bins_.Quantile(q);
-  }
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  std::size_t num_bins() const { return num_bins_; }
+  // Geometric midpoint of the bucket holding quantile q (within a factor
+  // of sqrt(2) of the truth), clamped to the exact [min, max]: a constant
+  // series reads exactly.
+  double Quantile(double q) const;
 
  private:
   friend class MetricsRegistry;
-  HistogramStat(const std::atomic<bool>* enabled, double lo, double hi,
-                std::size_t bins)
-      : enabled_(enabled), lo_(lo), hi_(hi), num_bins_(bins),
-        bins_(lo, hi, bins) {}
+  explicit HistogramStat(const std::atomic<bool>* enabled)
+      : enabled_(enabled) {}
+  static int Bucket(double v);
   void MergeFrom(const HistogramStat& other);
 
   const std::atomic<bool>* enabled_;
-  double lo_, hi_;
-  std::size_t num_bins_;
   mutable std::mutex mu_;
   util::RunningStat stat_;
-  util::Histogram bins_;
+  std::uint64_t buckets_[kBuckets] = {};
 };
 
 // Point-in-time copy of every registered metric, safe to format outside
@@ -193,12 +195,10 @@ class MetricsRegistry {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   // Find-or-create by name. Pointers remain valid for the registry's
-  // lifetime; re-registering a histogram with different bounds keeps the
-  // original bounds.
+  // lifetime.
   Counter* counter(const std::string& name);
   Gauge* gauge(const std::string& name);
-  HistogramStat* histogram(const std::string& name, double lo, double hi,
-                           std::size_t bins);
+  HistogramStat* histogram(const std::string& name);
 
   // Record a pre-aggregated batch on counter `name` in one consistent
   // write: value += v, events += n. Used by exporters that fold an
@@ -208,7 +208,7 @@ class MetricsRegistry {
 
   // Fold `other`'s metrics into this registry, matching by name and
   // creating missing metrics. Counters add, gauges take other's value if
-  // it was ever set, histograms merge moments and bin counts.
+  // it was ever set, histograms merge moments and bucket counts.
   void Merge(const MetricsRegistry& other);
 
   // Copy every metric out for export (Prometheus exposition, /statusz).

@@ -2,14 +2,15 @@
 // frame handling, server step phases).
 //
 // Design rules, mirroring MetricsRegistry:
-//  - Compiled in everywhere, disabled by default. A ScopedStage against a
-//    disabled profiler costs one relaxed atomic load and a predictable
-//    branch (bench_kernels measures this as BM_StageScopeDisabled).
-//  - An enabled ScopedStage accumulates into thread-local, single-writer
+//  - Stages are recorded through obs::Phase / obs::ScopedStage
+//    (obs/phase.h). Compiled in everywhere, disabled by default: a stage
+//    against a disabled profiler costs one relaxed atomic load and a few
+//    predictable branches (bench_kernels: BM_StageScopeDisabled).
+//  - An enabled stage accumulates into thread-local, single-writer
 //    slots: two steady_clock reads plus a handful of relaxed stores, no
 //    locks and no allocation on the steady-state path. The only locking
 //    happens the first time a thread sees a new (parent, name) pair.
-//  - Stages are hierarchical: a ScopedStage opened while another is live
+//  - Stages are hierarchical: a stage opened while another is live
 //    on the same thread becomes its child, and the stage's identity is the
 //    full path ("server_step/decode_aggregate/3lc_decode/zre"). The same
 //    leaf name under different parents is a different stage, which is how
@@ -24,7 +25,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -123,7 +123,7 @@ class StageProfiler {
   std::size_t stage_count() const;
 
  private:
-  friend class ScopedStage;
+  friend class Phase;
 
   // Single-writer accumulator: only the owning thread stores, any thread
   // may load (Snapshot). Everything relaxed — the values are statistics.
@@ -157,39 +157,6 @@ class StageProfiler {
   mutable std::mutex mu_;  // guards paths_/ids_/threads_ structure
   std::vector<std::string> paths_;  // index = stage id
   std::vector<std::unique_ptr<ThreadState>> threads_;
-};
-
-// RAII stage timer. Null or disabled profiler makes every member a no-op.
-class ScopedStage {
- public:
-  // `name` must be a string literal (or otherwise outlive the profiler):
-  // the per-thread child cache keys on pointer identity.
-  ScopedStage(StageProfiler* profiler, const char* name) {
-    if (profiler == nullptr || !profiler->enabled()) return;
-    ts_ = profiler->GetThreadState();
-    parent_ = ts_->current;
-    id_ = profiler->ResolveChild(*ts_, parent_, name);
-    ts_->current = id_;
-    start_ = std::chrono::steady_clock::now();
-  }
-
-  ScopedStage(const ScopedStage&) = delete;
-  ScopedStage& operator=(const ScopedStage&) = delete;
-
-  ~ScopedStage() {
-    if (ts_ == nullptr) return;
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    ts_->Record(id_, ns > 0 ? static_cast<std::uint64_t>(ns) : 0);
-    ts_->current = parent_;
-  }
-
- private:
-  StageProfiler::ThreadState* ts_ = nullptr;
-  int parent_ = -1;
-  int id_ = -1;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace threelc::obs

@@ -28,7 +28,7 @@
 
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/phase.h"
 
 namespace threelc::util {
 class Flags;

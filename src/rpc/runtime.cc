@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "blockcodec/block_codec.h"
+#include "net/traffic_meter.h"
 #include "nn/checkpoint.h"
 #include "nn/checkpoint_manager.h"
 #include "nn/lr_schedule.h"
@@ -14,7 +15,7 @@
 #include "obs/cluster_view.h"
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
-#include "obs/stage_profiler.h"
+#include "obs/phase.h"
 #include "obs/telemetry.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -898,24 +899,24 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
 
   // Whole-step span, stamped with the step id so merge_traces.py can line
   // this up against each worker's push/pull spans from other processes.
-  obs::ScopedSpan step_span(tracer, "rpc/step", 0, step);
-  obs::ScopedStage step_stage(prof, "server_step");
+  obs::Phase step_phase({.tracer = tracer, .span = "rpc/step", .step = step,
+                         .profiler = prof, .stage = "server_step"});
 
   // The barrier budget covers the grace window: a dead worker may consume
   // all of grace_ms rejoining (or being evicted) before the barrier can
   // possibly complete.
   const int barrier_timeout_ms =
       config_.step_timeout_ms + std::max(config_.grace_ms, 0);
-  util::WallTimer barrier_timer;
+  double barrier_ms = 0.0;
   {
-    obs::ScopedSpan span(tracer, "rpc/step_barrier", 0, step);
-    obs::ScopedStage stage(prof, "barrier");
+    obs::Phase phase({.tracer = tracer, .span = "rpc/step_barrier",
+                      .step = step, .profiler = prof, .stage = "barrier",
+                      .ms = &barrier_ms});
     if (!PollUntil([this] { return BarrierDone(); }, barrier_timeout_ms,
                    "step barrier")) {
       return false;
     }
   }
-  const double barrier_ms = barrier_timer.ElapsedMillis();
 
   // The worker set this step's aggregate is computed over, frozen at
   // barrier completion. Membership can only shrink from here (a fan-out
@@ -959,8 +960,6 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
   // Decode + aggregate in worker-id order — the same float-addition order
   // as DistributedTrainer::Run, which is what makes the distributed model
   // bitwise identical to the in-process one.
-  util::WallTimer decode_timer;
-  util::CpuTimer decode_cpu;
   // Stage-1 bytes (what the tensor codec produced; the envelope was
   // already stripped at frame arrival) vs wire bytes (what actually
   // crossed the socket). Equal when the block codec is store.
@@ -969,10 +968,13 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
   for (std::size_t w : contributors) {
     push_wire_bytes += static_cast<std::size_t>(push_wire_bytes_[w]);
   }
-  ps_->BeginStep();
+  double decode_ms = 0.0;
+  util::CpuTimer decode_cpu;
   {
-    obs::ScopedSpan span(tracer, "rpc/decode_aggregate", 0, step);
-    obs::ScopedStage stage(prof, "decode_aggregate");
+    obs::Phase phase({.tracer = tracer, .span = "rpc/decode_aggregate",
+                      .step = step, .profiler = prof,
+                      .stage = "decode_aggregate", .ms = &decode_ms});
+    ps_->BeginStep();
     try {
       for (std::size_t w : contributors) {
         for (std::size_t t = 0; t < num_tensors; ++t) {
@@ -992,33 +994,33 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
       return false;
     }
   }
-  const double decode_ms = decode_timer.ElapsedMillis();
   const double decode_cpu_s = decode_cpu.ElapsedSeconds();
   // ReceivePush timed its codec decodes and gradient adds separately; the
   // remainder of the loop (readers, bookkeeping) stays out of both halves.
   const ps::ParameterServer::StepTimings split = ps_->step_timings();
 
-  util::WallTimer optimize_timer;
+  double optimize_ms = 0.0;
   {
-    obs::ScopedSpan span(tracer, "rpc/optimize", 0, step);
-    obs::ScopedStage stage(prof, "optimize");
+    obs::Phase phase({.tracer = tracer, .span = "rpc/optimize", .step = step,
+                      .profiler = prof, .stage = "optimize",
+                      .ms = &optimize_ms});
     ps_->Update(lr, static_cast<int>(num_contributors));
   }
-  const double optimize_ms = optimize_timer.ElapsedMillis();
 
   // Encode each pull payload once; every worker is queued the same frame
   // bytes (the paper's shared pull compression, §3). The encoded frames
   // are also retained in the replay ring so a rejoiner can be caught up.
-  util::WallTimer encode_timer;
-  util::CpuTimer encode_cpu;
   std::size_t pull_stage1_bytes = 0;
   std::size_t pull_payload_bytes = 0;
   std::size_t incompressible_frames = 0;
   const auto max_replay =
       static_cast<std::size_t>(std::max(config_.replay_steps, 0));
+  double encode_ms = 0.0;
+  util::CpuTimer encode_cpu;
   {
-    obs::ScopedSpan span(tracer, "rpc/encode", 0, step);
-    obs::ScopedStage stage(prof, "encode");
+    obs::Phase phase({.tracer = tracer, .span = "rpc/encode", .step = step,
+                      .profiler = prof, .stage = "encode",
+                      .ms = &encode_ms});
     ps_->PreparePulls();
     std::vector<util::ByteBuffer> step_frames(num_tensors);
     for (std::size_t t = 0; t < num_tensors; ++t) {
@@ -1048,19 +1050,18 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
       replay_.pop_front();
     }
   }
-  const double encode_ms = encode_timer.ElapsedMillis();
   const double codec_seconds = decode_cpu_s + encode_cpu.ElapsedSeconds();
 
   // Write-ahead server checkpoint: this step's state is final (aggregate
   // applied, pulls encoded, ring updated) and nothing has been sent, so a
   // crash from here on restores to a point no worker can be ahead of.
-  util::WallTimer checkpoint_timer;
+  double checkpoint_ms = 0.0;
   {
-    obs::ScopedSpan span(tracer, "rpc/checkpoint", 0, step);
-    obs::ScopedStage stage(prof, "checkpoint");
+    obs::Phase phase({.tracer = tracer, .span = "rpc/checkpoint",
+                      .step = step, .profiler = prof, .stage = "checkpoint",
+                      .ms = &checkpoint_ms});
     if (!WriteCheckpoint(step + 1, /*force=*/false)) return false;
   }
-  const double checkpoint_ms = checkpoint_timer.ElapsedMillis();
 
   // Chaos drill: die between the checkpoint write and the fan-out — the
   // window where a generation fallback on resume is provably bitwise-safe
@@ -1071,10 +1072,11 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
     return false;
   }
 
-  util::WallTimer fanout_timer;
+  double fanout_ms = 0.0;
   {
-    obs::ScopedSpan span(tracer, "rpc/fan_out", 0, step);
-    obs::ScopedStage stage(prof, "fan_out");
+    obs::Phase phase({.tracer = tracer, .span = "rpc/fan_out", .step = step,
+                      .profiler = prof, .stage = "fan_out",
+                      .ms = &fanout_ms});
     const std::vector<util::ByteBuffer>& fanout = replay_.back().second;
     for (std::size_t t = 0; t < num_tensors; ++t) {
       for (std::size_t w : contributors) {
@@ -1101,7 +1103,6 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
     }
     if (max_replay == 0) replay_.clear();
   }
-  const double fanout_ms = fanout_timer.ElapsedMillis();
 
   // Accept the next step's pushes before blocking on anything else — a
   // fast worker pushes step+1 as soon as its pulls drain.
@@ -1141,14 +1142,10 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
     st.push_values = static_cast<std::size_t>(ps_->plan().TotalElements()) *
                      num_contributors;
     st.pull_values = st.push_values;
-    if (st.push_values > 0) {
-      st.push_bits_per_value =
-          8.0 * static_cast<double>(st.push_bytes) /
-          static_cast<double>(st.push_values);
-      st.pull_bits_per_value =
-          8.0 * static_cast<double>(st.pull_bytes) /
-          static_cast<double>(st.pull_values);
-    }
+    const auto rates = net::PerDirectionBitsPerValue(
+        {st.push_bytes, st.pull_bytes, st.push_values, st.pull_values});
+    st.push_bits_per_value = rates.push;
+    st.pull_bits_per_value = rates.pull;
     st.codec_seconds = codec_seconds;
     st.contributors = static_cast<int>(num_contributors);
     // decode/aggregate come from the server's own ReceivePush split; the
@@ -1161,16 +1158,13 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
                     {"encode", encode_ms},        {"checkpoint", checkpoint_ms},
                     {"fan_out", fanout_ms}};
     for (const auto& phase : st.phases_ms) st.step_wall_ms += phase.ms;
-    // Per-phase histograms: the /metricsz view of the step breakdown
-    // (bounds match the trainer's train/step_ms idiom).
+    // Per-phase histograms: the /metricsz view of the step breakdown.
     for (const auto& phase : st.phases_ms) {
       tel->metrics()
-          .histogram(std::string("step/") + phase.name + "_ms", 0.0, 1000.0,
-                     200)
+          .histogram(std::string("step/") + phase.name + "_ms")
           ->Add(phase.ms);
     }
-    tel->metrics().histogram("step/total_ms", 0.0, 1000.0, 200)
-        ->Add(st.step_wall_ms);
+    tel->metrics().histogram("step/total_ms")->Add(st.step_wall_ms);
     tel->LogStep(st);
   }
   return true;
@@ -1944,19 +1938,19 @@ void RpcWorker::ComputeStep(std::int64_t step) {
       config_.telemetry != nullptr ? &config_.telemetry->tracer() : nullptr;
   const int track = 1 + config_.worker_id;
   obs::ScopedSpan span(tracer, "forward_backward", track, step);
-  // Plain wall timers, not profiler scopes: spawned workers run with no
+  // Phase times, not profiler stages: spawned workers run with no
   // Telemetry at all, and these numbers ship to the server in the step's
   // TELEMETRY frame either way.
   pending_telemetry_ = TelemetryPayload{};
-  util::WallTimer fb_timer;
-  data::Batch batch = sampler_.Next(config_.batch_size);
-  pending_loss_ = static_cast<float>(
-      worker_->model().TrainStep(batch.inputs, batch.labels).loss);
-  pending_telemetry_.forward_backward_ns =
-      static_cast<std::uint64_t>(fb_timer.ElapsedSeconds() * 1e9);
+  {
+    obs::Phase phase({.ns = &pending_telemetry_.forward_backward_ns});
+    data::Batch batch = sampler_.Next(config_.batch_size);
+    pending_loss_ = static_cast<float>(
+        worker_->model().TrainStep(batch.inputs, batch.labels).loss);
+  }
   const std::size_t num_tensors = plan_->size();
   pending_push_.resize(num_tensors);
-  util::WallTimer encode_timer;
+  obs::Phase encode_phase({.ns = &pending_telemetry_.encode_ns});
   double ea_sq = 0.0;
   for (std::size_t t = 0; t < num_tensors; ++t) {
     pending_push_[t].Clear();
@@ -1980,8 +1974,6 @@ void RpcWorker::ComputeStep(std::int64_t step) {
   for (std::size_t t = 0; t < num_tensors; ++t) {
     pending_telemetry_.bytes_out += pending_push_[t].size();
   }
-  pending_telemetry_.encode_ns =
-      static_cast<std::uint64_t>(encode_timer.ElapsedSeconds() * 1e9);
   pending_telemetry_.ea_l2 = std::sqrt(ea_sq);
   computed_through_ = step;
 }
@@ -2130,9 +2122,9 @@ RpcWorker::StepStatus RpcWorker::RunStep(std::int64_t step) {
   // trajectory. Retries resend the identical stored bytes.
   if (computed_through_ < step) ComputeStep(step);
 
-  util::WallTimer push_timer;
   {
-    obs::ScopedSpan span(tracer, "rpc/push", track, step);
+    obs::Phase phase({.tracer = tracer, .span = "rpc/push", .track = track,
+                      .step = step, .ns = &pending_telemetry_.push_ns});
     for (std::size_t t = 0; t < num_tensors; ++t) {
       if (!conn_->SendFrame(MsgType::kPush, static_cast<std::uint64_t>(step),
                             static_cast<std::uint32_t>(t),
@@ -2160,45 +2152,43 @@ RpcWorker::StepStatus RpcWorker::RunStep(std::int64_t step) {
       return StepStatus::kRetry;
     }
   }
-  pending_telemetry_.push_ns =
-      static_cast<std::uint64_t>(push_timer.ElapsedSeconds() * 1e9);
   {
     obs::ScopedSpan span(tracer, "rpc/pull_wait", track, step);
-    util::WallTimer pull_wait_timer;
     // Collect all of the step's pulls before applying any (deferred
     // apply): a connection lost mid-collect leaves the model untouched and
     // the step cleanly resumable after a rejoin.
     std::vector<util::ByteBuffer> pulls(num_tensors);
-    for (std::size_t t = 0; t < num_tensors; ++t) {
-      Frame frame;
-      const Connection::IoResult r =
-          WaitDataFrame(*conn_, &frame, config_.pull_timeout_ms);
-      if (r != Connection::IoResult::kOk) {
-        THREELC_LOG(Warn) << "rpc worker " << config_.worker_id
-                          << ": waiting for PULL tensor " << t << " failed: "
-                          << DescribeWait(r, *conn_);
-        return StepStatus::kRetry;
+    {
+      obs::Phase wait_phase({.ns = &pending_telemetry_.pull_wait_ns});
+      for (std::size_t t = 0; t < num_tensors; ++t) {
+        Frame frame;
+        const Connection::IoResult r =
+            WaitDataFrame(*conn_, &frame, config_.pull_timeout_ms);
+        if (r != Connection::IoResult::kOk) {
+          THREELC_LOG(Warn) << "rpc worker " << config_.worker_id
+                            << ": waiting for PULL tensor " << t << " failed: "
+                            << DescribeWait(r, *conn_);
+          return StepStatus::kRetry;
+        }
+        if (frame.header.type == MsgType::kError) {
+          Fail("server error: " + PayloadString(frame));
+          return StepStatus::kFailed;
+        }
+        if (frame.header.type != MsgType::kPull ||
+            frame.header.step != static_cast<std::uint64_t>(step) ||
+            frame.header.tensor != static_cast<std::uint32_t>(t)) {
+          std::ostringstream oss;
+          oss << "protocol violation: expected PULL step " << step
+              << " tensor " << t << ", got " << MsgTypeName(frame.header.type)
+              << " step " << frame.header.step << " tensor "
+              << frame.header.tensor;
+          Fail(oss.str());
+          return StepStatus::kFailed;
+        }
+        pulls[t] = std::move(frame.payload);
       }
-      if (frame.header.type == MsgType::kError) {
-        Fail("server error: " + PayloadString(frame));
-        return StepStatus::kFailed;
-      }
-      if (frame.header.type != MsgType::kPull ||
-          frame.header.step != static_cast<std::uint64_t>(step) ||
-          frame.header.tensor != static_cast<std::uint32_t>(t)) {
-        std::ostringstream oss;
-        oss << "protocol violation: expected PULL step " << step
-            << " tensor " << t << ", got " << MsgTypeName(frame.header.type)
-            << " step " << frame.header.step << " tensor "
-            << frame.header.tensor;
-        Fail(oss.str());
-        return StepStatus::kFailed;
-      }
-      pulls[t] = std::move(frame.payload);
     }
-    pending_telemetry_.pull_wait_ns =
-        static_cast<std::uint64_t>(pull_wait_timer.ElapsedSeconds() * 1e9);
-    util::WallTimer decode_timer;
+    obs::Phase decode_phase({.ns = &pending_telemetry_.decode_ns});
     for (std::size_t t = 0; t < num_tensors; ++t) {
       pending_telemetry_.bytes_in += pulls[t].size();
       if (!UnwrapPull(t, pulls[t])) return StepStatus::kFailed;
@@ -2217,8 +2207,6 @@ RpcWorker::StepStatus RpcWorker::RunStep(std::int64_t step) {
         return StepStatus::kFailed;
       }
     }
-    pending_telemetry_.decode_ns =
-        static_cast<std::uint64_t>(decode_timer.ElapsedSeconds() * 1e9);
   }
   ++next_apply_;
   // Ship the completed step's telemetry record. Best-effort by design:

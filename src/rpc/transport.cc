@@ -14,7 +14,7 @@
 #include <unistd.h>
 
 #include "obs/metrics.h"
-#include "obs/stage_profiler.h"
+#include "obs/phase.h"
 #include "rpc/fault.h"
 #include "util/logging.h"
 #include "util/rng.h"

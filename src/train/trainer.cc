@@ -120,7 +120,7 @@ double DistributedTrainer::EvaluateGlobalModel() {
                : 0.0;
 }
 
-void DistributedTrainer::EmitStepTelemetry(
+obs::StepTelemetry DistributedTrainer::EmitStepTelemetry(
     const StepRecord& rec, const std::vector<double>& worker_fb_ms,
     const std::vector<double>& worker_encode_ms,
     const std::vector<double>& worker_decode_ms, double decode_aggregate_ms,
@@ -223,6 +223,7 @@ void DistributedTrainer::EmitStepTelemetry(
     tracer.RecordCounter("push_bytes", 0, now,
                          static_cast<double>(rec.push_bytes));
   }
+  return st;
 }
 
 TrainResult DistributedTrainer::Run() {
@@ -260,9 +261,9 @@ TrainResult DistributedTrainer::Run() {
     m_codec_cpu = reg.counter("codec/cpu_seconds");
     m_loss = reg.gauge("train/loss");
     m_lr = reg.gauge("train/lr");
-    m_push_bpv = reg.histogram("traffic/push_bits_per_value", 0.0, 34.0, 68);
-    m_pull_bpv = reg.histogram("traffic/pull_bits_per_value", 0.0, 34.0, 68);
-    m_step_ms = reg.histogram("train/step_ms", 0.0, 1000.0, 200);
+    m_push_bpv = reg.histogram("traffic/push_bits_per_value");
+    m_pull_bpv = reg.histogram("traffic/pull_bits_per_value");
+    m_step_ms = reg.histogram("train/step_ms");
   }
 
   std::unique_ptr<util::ThreadPool> pool;
@@ -353,16 +354,15 @@ TrainResult DistributedTrainer::Run() {
         return samplers_[w].Next(config_.batch_size);
       }();
       {
-        obs::ScopedSpan span(tracer, "forward_backward", track);
-        util::WallTimer wall;
+        obs::Phase phase({.tracer = tracer, .span = "forward_backward",
+                          .track = track, .ms = &worker_fb_ms[w]});
         nn::LossResult loss =
             worker_models_[w].TrainStep(batch.inputs, batch.labels);
         worker_loss[w] = loss.loss;
-        worker_fb_ms[w] = wall.ElapsedMillis();
       }
       push_payloads[w].Clear();
-      obs::ScopedSpan span(tracer, "encode_push", track);
-      util::WallTimer wall;
+      obs::Phase phase({.tracer = tracer, .span = "encode_push",
+                        .track = track, .ms = &worker_encode_ms[w]});
       util::CpuTimer timer;
       for (std::size_t t = 0; t < num_tensors; ++t) {
         compress::EncodeStats* stats =
@@ -371,7 +371,6 @@ TrainResult DistributedTrainer::Run() {
         push_sizes[w][t] = workers_[w]->EncodePush(t, push_payloads[w], stats);
       }
       worker_encode_s[w] = timer.ElapsedSeconds();
-      worker_encode_ms[w] = wall.ElapsedMillis();
     };
     if (pool) {
       pool->ParallelFor(num_workers, compute_and_encode);
@@ -383,8 +382,8 @@ TrainResult DistributedTrainer::Run() {
     double server_decode_s = 0.0;
     double decode_aggregate_ms = 0.0;
     {
-      obs::ScopedSpan span(tracer, "decode_aggregate", 0);
-      util::WallTimer wall;
+      obs::Phase phase({.tracer = tracer, .span = "decode_aggregate",
+                        .ms = &decode_aggregate_ms});
       for (std::size_t w = 0; w < num_workers; ++w) {
         util::ByteReader reader(push_payloads[w]);
         util::CpuTimer timer;
@@ -402,31 +401,29 @@ TrainResult DistributedTrainer::Run() {
         server_decode_s += timer.ElapsedSeconds();
         THREELC_CHECK_MSG(reader.AtEnd(), "push payload not fully consumed");
       }
-      decode_aggregate_ms = wall.ElapsedMillis();
     }
 
     // --- Model update + shared pull compression (encoded once).
     double optimize_ms = 0.0;
     {
-      obs::ScopedSpan span(tracer, "optimize", 0);
-      util::WallTimer wall;
+      obs::Phase phase({.tracer = tracer, .span = "optimize",
+                        .ms = &optimize_ms});
       server_->Update(rec.lr, static_cast<int>(quorum));
-      optimize_ms = wall.ElapsedMillis();
     }
     util::CpuTimer pull_encode_timer;
     double encode_pull_ms = 0.0;
     {
-      obs::ScopedSpan span(tracer, "encode_pull", 0);
-      util::WallTimer wall;
+      obs::Phase phase({.tracer = tracer, .span = "encode_pull",
+                        .ms = &encode_pull_ms});
       server_->PreparePulls(per_tensor ? &pull_stats : nullptr);
-      encode_pull_ms = wall.ElapsedMillis();
     }
     const double pull_encode_s = pull_encode_timer.ElapsedSeconds();
 
     // --- Workers decode and apply the shared pull payloads (parallel).
     auto apply_pulls = [&](std::size_t w) {
-      obs::ScopedSpan span(tracer, "decode_pull", 1 + static_cast<int>(w));
-      util::WallTimer wall;
+      obs::Phase phase({.tracer = tracer, .span = "decode_pull",
+                        .track = 1 + static_cast<int>(w),
+                        .ms = &worker_decode_ms[w]});
       util::CpuTimer timer;
       for (std::size_t t = 0; t < num_tensors; ++t) {
         util::ByteReader reader(server_->PullPayload(t));
@@ -434,7 +431,6 @@ TrainResult DistributedTrainer::Run() {
         THREELC_CHECK_MSG(reader.AtEnd(), "pull payload not fully consumed");
       }
       worker_decode_s[w] = timer.ElapsedSeconds();
-      worker_decode_ms[w] = wall.ElapsedMillis();
     };
     if (pool) {
       pool->ParallelFor(num_workers, apply_pulls);
@@ -468,28 +464,19 @@ TrainResult DistributedTrainer::Run() {
     result.steps.push_back(rec);
 
     if (tel != nullptr) {
-      EmitStepTelemetry(rec, worker_fb_ms, worker_encode_ms, worker_decode_ms,
-                        decode_aggregate_ms, optimize_ms, encode_pull_ms,
-                        push_stats, pull_stats);
+      const obs::StepTelemetry st = EmitStepTelemetry(
+          rec, worker_fb_ms, worker_encode_ms, worker_decode_ms,
+          decode_aggregate_ms, optimize_ms, encode_pull_ms, push_stats,
+          pull_stats);
       if (metrics_on) {
         m_push_bytes->Add(static_cast<double>(rec.push_bytes));
         m_pull_bytes->Add(static_cast<double>(rec.pull_bytes));
         m_codec_cpu->Add(rec.codec_seconds);
         m_loss->Set(rec.loss);
         m_lr->Set(rec.lr);
-        const auto rates = net::PerDirectionBitsPerValue(
-            {rec.push_bytes, rec.pull_bytes, rec.push_values,
-             rec.pull_values});
-        m_push_bpv->Add(rates.push);
-        m_pull_bpv->Add(rates.pull);
-        const double step_ms =
-            *std::max_element(worker_fb_ms.begin(), worker_fb_ms.end()) +
-            *std::max_element(worker_encode_ms.begin(),
-                              worker_encode_ms.end()) +
-            decode_aggregate_ms + optimize_ms + encode_pull_ms +
-            *std::max_element(worker_decode_ms.begin(),
-                              worker_decode_ms.end());
-        m_step_ms->Add(step_ms);
+        m_push_bpv->Add(st.push_bits_per_value);
+        m_pull_bpv->Add(st.pull_bits_per_value);
+        m_step_ms->Add(st.step_wall_ms);
       }
     }
 

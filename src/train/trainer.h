@@ -154,9 +154,10 @@ class DistributedTrainer {
 
   // Assemble and log one obs::StepTelemetry record from this step's
   // measurements; via Telemetry::LogStep it also feeds the health
-  // watchdog and flight recorder. Only called when config_.telemetry is
+  // watchdog and flight recorder. Returns the record so the registry
+  // metrics read the same numbers. Only called when config_.telemetry is
   // set.
-  void EmitStepTelemetry(
+  obs::StepTelemetry EmitStepTelemetry(
       const StepRecord& rec, const std::vector<double>& worker_fb_ms,
       const std::vector<double>& worker_encode_ms,
       const std::vector<double>& worker_decode_ms, double decode_aggregate_ms,

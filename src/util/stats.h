@@ -4,9 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace threelc::util {
 
@@ -48,25 +46,6 @@ class Ema {
   double alpha_;
   double value_ = 0.0;
   bool initialized_ = false;
-};
-
-// Fixed-bin histogram over [lo, hi); out-of-range values clamp to edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void Add(double x);
-  // Fold another histogram's counts in; both must share [lo, hi) and the
-  // bin count (checked).
-  void Merge(const Histogram& other);
-  std::size_t bin_count(std::size_t i) const { return counts_[i]; }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double Quantile(double q) const;  // approximate, from bin midpoints
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace threelc::util

@@ -19,9 +19,9 @@
 #include "obs/health.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/phase.h"
 #include "obs/prometheus.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 
 namespace threelc::obs {
 namespace {
@@ -52,7 +52,7 @@ TEST(MetricsTest, DisabledMetricsAreNoOps) {
   ASSERT_FALSE(registry.enabled());
   Counter* c = registry.counter("c");
   Gauge* g = registry.gauge("g");
-  HistogramStat* h = registry.histogram("h", 0.0, 10.0, 10);
+  HistogramStat* h = registry.histogram("h");
   c->Add(5.0);
   g->Set(3.0);
   h->Add(1.0);
@@ -102,17 +102,57 @@ TEST(MetricsTest, MergeAddsCountersTakesGaugesAndFoldsHistograms) {
   a.gauge("g")->Set(1.0);
   b.gauge("g")->Set(9.0);
   b.gauge("never_set");
-  for (double v : {1.0, 2.0, 3.0}) a.histogram("h", 0.0, 10.0, 10)->Add(v);
-  for (double v : {7.0, 8.0}) b.histogram("h", 0.0, 10.0, 10)->Add(v);
+  for (double v : {1.0, 2.0, 3.0}) a.histogram("h")->Add(v);
+  for (double v : {7.0, 8.0}) b.histogram("h")->Add(v);
 
   a.Merge(b);
   EXPECT_EQ(a.counter("shared")->value(), 3.0);
   EXPECT_EQ(a.counter("only_b")->value(), 7.0);
   EXPECT_EQ(a.gauge("g")->value(), 9.0);  // merge takes other's set value
-  const util::RunningStat merged = a.histogram("h", 0.0, 10.0, 10)->stat();
+  const util::RunningStat merged = a.histogram("h")->stat();
   EXPECT_EQ(merged.count(), 5u);
   EXPECT_DOUBLE_EQ(merged.mean(), (1.0 + 2.0 + 3.0 + 7.0 + 8.0) / 5.0);
   EXPECT_EQ(merged.max(), 8.0);
+  // Bucket counts merge too: p99 is the midpoint of the bucket holding 7
+  // and 8 (5.93 ms), above every bucket of a's own values.
+  EXPECT_GT(a.histogram("h")->Quantile(0.99), 4.0);
+}
+
+// Quantiles come from log2 buckets clamped to the exact [min, max], so a
+// sub-millisecond series reads inside its own range (a linear 0-1000 ms
+// layout with 5 ms bins read 2.5 ms here) and a constant reads exactly.
+TEST(MetricsTest, HistogramQuantilesResolveSubMillisecondPhases) {
+  MetricsRegistry registry;
+  registry.set_enabled(true);
+  HistogramStat* decode = registry.histogram("step/decode_ms");
+  for (int i = 0; i < 1000; ++i) decode->Add(0.20 + 0.10 * i / 1000.0);
+  for (double q : {0.5, 0.99}) {
+    EXPECT_GE(decode->Quantile(q), 0.20) << q;
+    EXPECT_LE(decode->Quantile(q), 0.30) << q;
+  }
+
+  HistogramStat* constant = registry.histogram("constant");
+  for (int i = 0; i < 10; ++i) constant->Add(17.4);
+  for (double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(constant->Quantile(q), 17.4) << q;
+  }
+  EXPECT_EQ(registry.histogram("empty")->Quantile(0.5), 0.0);
+}
+
+TEST(MetricsTest, HistogramAcceptsNonFiniteNegativeAndHugeValues) {
+  MetricsRegistry registry;
+  registry.set_enabled(true);
+  HistogramStat* h = registry.histogram("h");
+  h->Add(std::numeric_limits<double>::quiet_NaN());
+  h->Add(-1.0);
+  h->Add(1e30);
+  h->Add(std::numeric_limits<double>::infinity());
+  h->Add(-std::numeric_limits<double>::infinity());
+  EXPECT_EQ(h->stat().count(), 5u);
+  for (double q : {0.0, 0.5, 1.0}) {
+    const double v = h->Quantile(q);
+    EXPECT_FALSE(std::isnan(v)) << q;
+  }
 }
 
 TEST(MetricsTest, MergeLandsIntoDisabledRegistry) {
@@ -133,7 +173,7 @@ TEST(MetricsTest, JsonlAndCsvExport) {
   registry.set_enabled(true);
   registry.counter("traffic/push_bytes")->Add(128.0);
   registry.gauge("train/loss")->Set(0.25);
-  HistogramStat* h = registry.histogram("step_ms", 0.0, 100.0, 50);
+  HistogramStat* h = registry.histogram("step_ms");
   for (int i = 1; i <= 10; ++i) h->Add(static_cast<double>(i));
 
   std::ostringstream jsonl;
@@ -229,7 +269,7 @@ TEST(PrometheusTest, WritePrometheusExposesAllMetricKinds) {
   registry.set_enabled(true);
   registry.counter("traffic/push_bytes")->Add(128.0);
   registry.gauge("train/loss")->Set(0.25);
-  HistogramStat* h = registry.histogram("step_ms", 0.0, 100.0, 50);
+  HistogramStat* h = registry.histogram("step_ms");
   for (int i = 1; i <= 10; ++i) h->Add(static_cast<double>(i));
 
   std::ostringstream out;

@@ -10,17 +10,21 @@
 
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "compress/factory.h"
 #include "data/synthetic.h"
+#include "obs/stage_profiler.h"
+#include "obs/telemetry.h"
 #include "ps/plan.h"
 #include "ps/server.h"
 #include "ps/worker.h"
 #include "rpc/runtime.h"
 #include "rpc/transport.h"
+#include "step_log.h"
 #include "train/experiment.h"
 #include "train/model_zoo.h"
 #include "train/trainer.h"
@@ -75,7 +79,7 @@ bool ModelsBitwiseEqual(nn::Model& a, nn::Model& b) {
 // examples/distributed_training.cpp (including the exact sampler seeding
 // that makes the run bitwise-reproducible).
 bool RunOneWorker(const TestSetup& setup, int worker_id, int port,
-                  std::string* error) {
+                  std::string* error, obs::Telemetry* telemetry = nullptr) {
   const train::TrainerConfig& tc = setup.config.trainer;
   nn::Model model =
       train::BuildMlp(setup.config.model, setup.config.model_seed);
@@ -100,6 +104,7 @@ bool RunOneWorker(const TestSetup& setup, int worker_id, int port,
   wc.retry.max_attempts = 5;
   wc.retry.initial_backoff_ms = 10;
   wc.block_codec = setup.block_codec;
+  wc.telemetry = telemetry;
   RpcWorker worker(wc, ps_worker, plan, codec->name(), std::move(sampler));
   const bool ok = worker.Run();
   if (!ok && error != nullptr) *error = worker.error();
@@ -108,7 +113,9 @@ bool RunOneWorker(const TestSetup& setup, int worker_id, int port,
 
 // Run server + N worker threads over loopback; on success returns the
 // final global model.
-std::unique_ptr<nn::Model> RunTcpTraining(const TestSetup& setup) {
+std::unique_ptr<nn::Model> RunTcpTraining(
+    const TestSetup& setup, obs::Telemetry* server_telemetry = nullptr,
+    obs::Telemetry* worker_telemetry = nullptr) {
   const train::TrainerConfig& tc = setup.config.trainer;
   auto model = std::make_unique<nn::Model>(
       train::BuildMlp(setup.config.model, setup.config.model_seed));
@@ -127,6 +134,7 @@ std::unique_ptr<nn::Model> RunTcpTraining(const TestSetup& setup) {
   sc.step_timeout_ms = 20000;
   sc.shutdown_timeout_ms = 10000;
   sc.block_codec = setup.block_codec;
+  sc.telemetry = server_telemetry;
   RpcServer server(sc, ps, codec->name());
   std::string error;
   EXPECT_TRUE(server.Listen(&error)) << error;
@@ -142,7 +150,8 @@ std::unique_ptr<nn::Model> RunTcpTraining(const TestSetup& setup) {
     workers.emplace_back([&, w] {
       worker_ok[static_cast<std::size_t>(w)] =
           RunOneWorker(setup, w, server.port(),
-                       &worker_errors[static_cast<std::size_t>(w)])
+                       &worker_errors[static_cast<std::size_t>(w)],
+                       worker_telemetry)
               ? 1
               : 0;
     });
@@ -185,6 +194,72 @@ TEST(RpcRuntime, BitwiseIdenticalToInProcessWithFloat32Codec) {
 
 TEST(RpcRuntime, BitwiseIdenticalToInProcessWith3lcCodec) {
   ExpectTcpMatchesInProcess(compress::CodecConfig::ThreeLC(1.0f));
+}
+
+// Pins what downstream tools parse from a TCP run: each server step
+// record's phases (names, order, and that they sum to step_wall_ms), the
+// server and worker span names, the server's profiler stage paths, and
+// the per-phase /metricsz histogram names.
+TEST(RpcRuntime, StepRecordPhasesSpansAndStagesArePinned) {
+  const TestSetup setup = MakeTestSetup(/*num_workers=*/2, /*steps=*/3,
+                                        compress::CodecConfig::ThreeLC(1.0f));
+  const std::string path = ::testing::TempDir() + "rpc_step_log.jsonl";
+  obs::TelemetryOptions server_options;
+  server_options.metrics_path = path;
+  server_options.trace_path = ::testing::TempDir() + "rpc_server_trace.json";
+  obs::Telemetry server_tel(server_options);
+  obs::TelemetryOptions worker_options;
+  worker_options.trace_path = ::testing::TempDir() + "rpc_worker_trace.json";
+  obs::Telemetry worker_tel(worker_options);
+  ASSERT_NE(RunTcpTraining(setup, &server_tel, &worker_tel), nullptr);
+  server_tel.Flush();
+
+  const std::vector<std::string> phases = {
+      "step_barrier", "decode",     "aggregate", "optimize",
+      "encode",       "checkpoint", "fan_out"};
+  const std::vector<testutil::StepPhases> steps =
+      testutil::ReadStepPhases(path);
+  ASSERT_EQ(steps.size(), 3u);
+  for (const testutil::StepPhases& s : steps) {
+    EXPECT_EQ(s.names, phases);
+    EXPECT_NEAR(s.sum_ms, s.step_wall_ms, 1e-6 * s.step_wall_ms + 1e-9);
+  }
+
+  EXPECT_EQ(testutil::SpanNames(server_tel.tracer(), 0, 0),
+            (std::set<std::string>{"rpc/handshake", "rpc/step",
+                                   "rpc/step_barrier", "rpc/decode_aggregate",
+                                   "rpc/optimize", "rpc/encode",
+                                   "rpc/checkpoint", "rpc/fan_out"}));
+  EXPECT_EQ(testutil::SpanNames(worker_tel.tracer(), 1, 2),
+            (std::set<std::string>{"rpc/handshake", "forward_backward",
+                                   "rpc/push", "rpc/pull_wait"}));
+
+  std::set<std::string> step_children;
+  std::set<std::string> paths;
+  for (const obs::StageSample& s :
+       obs::StageProfiler::Global().Snapshot()) {
+    paths.insert(s.path);
+    const std::string prefix = "server_step/";
+    if (s.path.rfind(prefix, 0) == 0 &&
+        s.path.find('/', prefix.size()) == std::string::npos) {
+      step_children.insert(s.path.substr(prefix.size()));
+    }
+  }
+  EXPECT_EQ(step_children,
+            (std::set<std::string>{"barrier", "decode_aggregate", "optimize",
+                                   "encode", "checkpoint", "fan_out"}));
+  EXPECT_EQ(paths.count("server_step/decode_aggregate/3lc_decode/expand"), 1u);
+  EXPECT_EQ(paths.count("server_step/encode/3lc_encode/zre"), 1u);
+
+  std::set<std::string> histograms;
+  for (const auto& h : server_tel.metrics().Snapshot().histograms) {
+    histograms.insert(h.name);
+  }
+  std::set<std::string> expected_histograms = {"step/total_ms"};
+  for (const std::string& p : phases) {
+    expected_histograms.insert("step/" + p + "_ms");
+  }
+  EXPECT_EQ(histograms, expected_histograms);
 }
 
 // Wire parity for the second-stage block codec: wrapping every payload in

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/stage_profiler.h"
+#include "obs/phase.h"
 
 namespace threelc::obs {
 namespace {
@@ -169,7 +169,8 @@ TEST(StageProfilerTest, ExportToRegistryAsBatchCounters) {
   ASSERT_EQ(snap.counters.size(), 1u);
   EXPECT_EQ(snap.counters[0].name, "profile/work");
   EXPECT_EQ(snap.counters[0].events, static_cast<std::uint64_t>(kIters));
-  const StageSample* s = Find(profiler.Snapshot(), "work");
+  const std::vector<StageSample> samples = profiler.Snapshot();
+  const StageSample* s = Find(samples, "work");
   ASSERT_NE(s, nullptr);
   EXPECT_NEAR(snap.counters[0].value,
               static_cast<double>(s->total_ns) * 1e-9, 1e-12);

@@ -2,9 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "compress/factory.h"
+#include "obs/telemetry.h"
+#include "step_log.h"
 #include "train/experiment.h"
+#include "train/model_zoo.h"
 #include "train/trainer.h"
 
 namespace threelc::train {
@@ -115,6 +121,51 @@ TEST_F(TrainerIntegration, TrafficAccountingConsistency) {
     EXPECT_GT(s.push_bytes, 0u);
     EXPECT_GT(s.pull_bytes, 0u);
   }
+}
+
+// Pins what downstream tools parse from an in-process run: the step
+// record's phases (names, order, and that they sum to step_wall_ms), the
+// span names per track, and train/step_ms fed from those same records.
+TEST_F(TrainerIntegration, StepRecordPhasesAndSpanNamesArePinned) {
+  const std::string path = ::testing::TempDir() + "trainer_step_log.jsonl";
+  obs::TelemetryOptions options;
+  options.metrics_path = path;
+  options.trace_path = ::testing::TempDir() + "trainer_trace.json";
+  obs::Telemetry tel(options);
+  TrainerConfig tc = config_->trainer;
+  tc.codec = CodecConfig::ThreeLC(1.0f);
+  tc.total_steps = 2;
+  tc.telemetry = &tel;
+  const MlpSpec spec = config_->model;
+  const std::uint64_t model_seed = config_->model_seed;
+  DistributedTrainer trainer(
+      tc, [spec, model_seed] { return BuildMlp(spec, model_seed); },
+      data_->train, data_->test);
+  trainer.Run();
+
+  const std::vector<testutil::StepPhases> steps =
+      testutil::ReadStepPhases(path);
+  ASSERT_EQ(steps.size(), 2u);
+  const std::vector<std::string> phases = {
+      "forward_backward", "encode_push", "decode_aggregate",
+      "optimize",         "encode_pull", "decode_pull"};
+  double wall_sum = 0.0;
+  for (const testutil::StepPhases& s : steps) {
+    EXPECT_EQ(s.names, phases);
+    EXPECT_NEAR(s.sum_ms, s.step_wall_ms, 1e-6 * s.step_wall_ms + 1e-9);
+    wall_sum += s.step_wall_ms;
+  }
+  const util::RunningStat step_ms =
+      tel.metrics().histogram("train/step_ms")->stat();
+  EXPECT_EQ(step_ms.count(), 2u);
+  EXPECT_NEAR(step_ms.sum(), wall_sum, 1e-6 * wall_sum + 1e-9);
+
+  EXPECT_EQ(testutil::SpanNames(tel.tracer(), 0, 0),
+            (std::set<std::string>{"decode_aggregate", "optimize",
+                                   "encode_pull", "evaluate"}));
+  EXPECT_EQ(testutil::SpanNames(tel.tracer(), 1, tc.num_workers),
+            (std::set<std::string>{"sample_batch", "forward_backward",
+                                   "encode_push", "decode_pull"}));
 }
 
 TEST_F(TrainerIntegration, EvalsRecordedAtRequestedCadence) {

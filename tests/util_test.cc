@@ -345,62 +345,6 @@ TEST(Ema, FirstValueInitializes) {
   EXPECT_EQ(ema.value(), 10.0);
 }
 
-TEST(Histogram, CountsAndQuantiles) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.Add(static_cast<double>(i % 10) + 0.5);
-  EXPECT_EQ(h.total(), 100u);
-  for (std::size_t b = 0; b < 10; ++b) EXPECT_EQ(h.bin_count(b), 10u);
-  EXPECT_NEAR(h.Quantile(0.5), 5.0, 1.0);
-}
-
-TEST(Histogram, OutOfRangeClampsToEdges) {
-  Histogram h(0.0, 1.0, 4);
-  h.Add(-100.0);
-  h.Add(100.0);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(3), 1u);
-}
-
-TEST(Histogram, QuantileEdges) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.Add(static_cast<double>(i) + 0.5);
-  // q clamps to [0, 1]: q<=0 is the lowest occupied bin's midpoint, q>=1
-  // the highest.
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), h.Quantile(-1.0));
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), h.Quantile(2.0));
-  EXPECT_NEAR(h.Quantile(0.0), 0.5, 0.51);
-  EXPECT_NEAR(h.Quantile(1.0), 9.5, 0.51);
-  EXPECT_LT(h.Quantile(0.0), h.Quantile(1.0));
-}
-
-TEST(Histogram, QuantileOfEmptyIsLowerBound) {
-  Histogram h(2.0, 8.0, 6);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 2.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 2.0);
-}
-
-TEST(Histogram, QuantileAllMassInOneBin) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 50; ++i) h.Add(3.2);  // all mass in bin [3, 4)
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), h.Quantile(1.0));
-  EXPECT_NEAR(h.Quantile(0.5), 3.5, 1e-12);  // bin midpoint
-}
-
-TEST(Histogram, MergeAddsCounts) {
-  Histogram a(0.0, 10.0, 10);
-  Histogram b(0.0, 10.0, 10);
-  a.Add(1.5);
-  b.Add(1.5);
-  b.Add(7.5);
-  a.Merge(b);
-  EXPECT_EQ(a.total(), 3u);
-  EXPECT_EQ(a.bin_count(1), 2u);
-  EXPECT_EQ(a.bin_count(7), 1u);
-}
-
-// ---------- CsvWriter ----------
-
 TEST(CsvWriter, WritesHeaderAndRows) {
   const std::string path = ::testing::TempDir() + "/csv_test.csv";
   {
