@@ -86,7 +86,9 @@
 //                        server dies between step K's checkpoint write
 //                        and its fan-out (the window where generation
 //                        fallback is bitwise-safe); the supervisor
-//                        resumes it like --kill-server-step
+//                        resumes it like --kill-server-step. Shorthand
+//                        for a "killserver:pull@K" --inject-server rule
+//                        on the first incarnation
 //   --corrupt-newest-on-resume
 //                        (spawn mode) flip one byte in the newest
 //                        checkpoint generation before the first resume,
@@ -238,12 +240,12 @@ bool ModelsBitwiseEqual(nn::Model& a, nn::Model& b) {
 // Per-worker fault-tolerance knobs, all defaulting to "behave like PR 3".
 struct WorkerChaos {
   std::int64_t exit_after_step = -1;  // simulate a crash after this step
-  std::string checkpoint_path;  // written at the crash / read on rejoin
-  bool rejoin = false;          // resume via REJOIN from checkpoint_path
+  // Written at a crash or on SIGTERM/SIGINT; read on rejoin.
+  std::string checkpoint_path;
+  bool rejoin = false;  // resume via REJOIN from checkpoint_path
   int max_reconnects = 5;
   std::string inject_spec;
   std::uint64_t inject_seed = 0;
-  std::string stop_checkpoint_path;  // written on SIGTERM/SIGINT
   int lease_ms = 0;
   int heartbeat_ms = 0;
 };
@@ -260,8 +262,7 @@ int RunWorker(const Setup& setup, int worker_id, const std::string& host,
   // ps::Worker caches parameter pointers), then the codec EA buffers and
   // the sampler cursor once those objects exist.
   nn::TrainState resume;
-  const bool resuming = chaos.rejoin && !chaos.checkpoint_path.empty();
-  if (resuming) {
+  if (chaos.rejoin) {
     nn::LoadCheckpointState(model, &resume, chaos.checkpoint_path);
   }
 
@@ -279,7 +280,7 @@ int RunWorker(const Setup& setup, int worker_id, const std::string& host,
   for (int i = 0; i < worker_id; ++i) rng = seeder.Fork();
   data::Sampler sampler(setup.data.train, rng, tc.augment_noise);
 
-  if (resuming) {
+  if (chaos.rejoin) {
     try {
       util::ByteReader codec_reader(util::ByteSpan(
           resume.codec_state.data(), resume.codec_state.size()));
@@ -316,13 +317,12 @@ int RunWorker(const Setup& setup, int worker_id, const std::string& host,
   wc.worker_id = worker_id;
   wc.batch_size = tc.batch_size;
   wc.telemetry = telemetry;
-  wc.start_step = resuming ? static_cast<std::int64_t>(resume.next_step) : 0;
+  wc.start_step = chaos.rejoin ? static_cast<std::int64_t>(resume.next_step) : 0;
   wc.rejoin = chaos.rejoin;
   wc.max_reconnects = chaos.max_reconnects;
   wc.exit_after_step = chaos.exit_after_step;
-  wc.exit_checkpoint_path = chaos.checkpoint_path;
+  wc.checkpoint_path = chaos.checkpoint_path;
   wc.stop_flag = &g_stop;
-  wc.stop_checkpoint_path = chaos.stop_checkpoint_path;
   wc.fault = fault;
   wc.block_codec = setup.block_codec;
   wc.lease_ms = chaos.lease_ms;
@@ -438,9 +438,10 @@ bool CorruptNewestGeneration(const std::string& ckpt_path) {
   return true;
 }
 
+// `first_incarnation` is false for a server resumed from its checkpoint.
 ServerParts MakeServerParts(const Setup& setup, const util::Flags& flags,
-                            obs::Telemetry* telemetry,
-                            util::Fs* fs = nullptr) {
+                            obs::Telemetry* telemetry, util::Fs* fs,
+                            bool first_incarnation) {
   const train::TrainerConfig& tc = setup.config.trainer;
   ServerParts parts;
   parts.model = std::make_unique<nn::Model>(
@@ -471,11 +472,20 @@ ServerParts MakeServerParts(const Setup& setup, const util::Flags& flags,
       static_cast<int>(flags.GetInt("server-checkpoint-retain", 2));
   sc.fs = fs;
   sc.exit_after_step = flags.GetInt("kill-server-step", -1);
-  sc.exit_at_checkpoint = flags.GetInt("kill-server-at-checkpoint", -1);
   sc.stop_flag = &g_stop;
   sc.telemetry = telemetry;
   sc.block_codec = setup.block_codec;
-  const std::string inject = flags.GetString("inject-server", "");
+  std::string inject = flags.GetString("inject-server", "");
+  // --kill-server-at-checkpoint K: step K's first PULL frame goes out
+  // right after its write-ahead checkpoint, before any other fan-out byte.
+  // The rule leads the spec so no other rule can claim that frame, and
+  // rides only the first incarnation: replaying step K to rejoiners sends
+  // pull@K frames again.
+  const std::int64_t kill_at = flags.GetInt("kill-server-at-checkpoint", -1);
+  if (first_incarnation && kill_at >= 0) {
+    inject = "killserver:pull@" + std::to_string(kill_at) +
+             (inject.empty() ? "" : ";" + inject);
+  }
   if (!inject.empty()) {
     // Distinct stream from the workers' injectors so schedules don't
     // accidentally mirror each other under a shared --inject-seed.
@@ -571,18 +581,16 @@ int RunSpawn(const util::Flags& flags) {
     // Per-worker stream: the combined schedule is still a pure function of
     // --inject-seed, but workers don't mirror each other's faults.
     chaos.inject_seed = inject_seed + static_cast<std::uint64_t>(w);
-    if (kill_step >= 0 && w == kill_worker) {
-      chaos.checkpoint_path =
-          state_dir + "/dt_worker" + std::to_string(w) + ".ckpt";
-      if (!rejoin) chaos.exit_after_step = kill_step;  // crash only once
+    // A SIGTERM'd child leaves the same resumable v3 checkpoint a
+    // simulated crash would.
+    chaos.checkpoint_path =
+        state_dir + "/dt_worker" + std::to_string(w) + ".ckpt";
+    if (kill_step >= 0 && w == kill_worker && !rejoin) {
+      chaos.exit_after_step = kill_step;  // crash only once
     }
     chaos.rejoin = rejoin;
     chaos.lease_ms = lease_ms;
     chaos.heartbeat_ms = heartbeat_ms;
-    // A SIGTERM'd child leaves the same resumable v3 checkpoint a
-    // simulated crash would.
-    chaos.stop_checkpoint_path =
-        state_dir + "/dt_worker" + std::to_string(w) + ".ckpt";
     _exit(RunWorker(setup, w, host, bound_port, /*telemetry=*/nullptr,
                     chaos));
   };
@@ -625,7 +633,8 @@ int RunSpawn(const util::Flags& flags) {
   // counters and latches persist across server incarnations.
   std::unique_ptr<util::FaultFs> server_fs = MakeServerFs(flags);
   ServerParts parts = MakeServerParts(setup, flags, telemetry.get(),
-                                      server_fs.get());
+                                      server_fs.get(),
+                                      /*first_incarnation=*/true);
   parts.server->AdoptListener(listen_fd, bound_port);
 
   // Reap children continuously while the server runs: a worker that dies
@@ -775,7 +784,8 @@ int RunSpawn(const util::Flags& flags) {
       }
     }
     ServerParts next = MakeServerParts(setup, flags, telemetry.get(),
-                                       server_fs.get());
+                                       server_fs.get(),
+                                       /*first_incarnation=*/false);
     std::string resume_error;
     if (!next.server->ResumeFromCheckpoint(server_ckpt, &resume_error)) {
       std::fprintf(stderr, "cannot resume server: %s\n",
@@ -938,16 +948,10 @@ int main(int argc, char** argv) {
                               flags.GetInt("inject-seed", 1)) +
                           static_cast<std::uint64_t>(worker_id);
       chaos.rejoin = flags.GetBool("rejoin", false);
-      const std::int64_t kill_step = flags.GetInt("kill-step", -1);
-      if (kill_step >= 0 || chaos.rejoin) {
-        chaos.checkpoint_path = flags.GetString("state-dir", ".") +
-                                "/dt_worker" + std::to_string(worker_id) +
-                                ".ckpt";
-        if (!chaos.rejoin) chaos.exit_after_step = kill_step;
-      }
-      chaos.stop_checkpoint_path = flags.GetString("state-dir", ".") +
-                                   "/dt_worker" + std::to_string(worker_id) +
-                                   ".ckpt";
+      chaos.checkpoint_path = flags.GetString("state-dir", ".") +
+                              "/dt_worker" + std::to_string(worker_id) +
+                              ".ckpt";
+      if (!chaos.rejoin) chaos.exit_after_step = flags.GetInt("kill-step", -1);
       chaos.lease_ms = static_cast<int>(flags.GetInt("lease-ms", 0));
       chaos.heartbeat_ms =
           static_cast<int>(flags.GetInt("heartbeat-ms", 0));
@@ -968,12 +972,14 @@ int main(int argc, char** argv) {
         telemetry = std::make_unique<obs::Telemetry>(opts);
       }
       std::unique_ptr<util::FaultFs> server_fs = MakeServerFs(flags);
+      const bool resume = flags.GetBool("resume", false);
       ServerParts parts = MakeServerParts(setup, flags, telemetry.get(),
-                                          server_fs.get());
+                                          server_fs.get(),
+                                          /*first_incarnation=*/!resume);
       std::string error;
       int rc = 0;
       bool completed = false;
-      if (flags.GetBool("resume", false) &&
+      if (resume &&
           !parts.server->ResumeFromCheckpoint(ServerCheckpointPath(flags),
                                               &error)) {
         std::fprintf(stderr, "cannot resume server: %s\n", error.c_str());

@@ -32,7 +32,9 @@
 // Examples: "corrupt:push@2" (flip a byte in the first PUSH of step 2),
 // "close:pull@5" (kill the connection while fanning out step 5's pulls),
 // "delay200:push@any#*" (delay every push by 200 ms),
-// "killserver:pull@5" (crash the server mid-fan-out of step 5's pulls),
+// "killserver:pull@5" (crash the server on step 5's first PULL: after its
+// write-ahead checkpoint, before any fan-out byte — the kill-at-checkpoint
+// drill; "killserver:pull@5#1" crashes it one frame into the fan-out),
 // "stall:push@3" (freeze the endpoint at step 3's first push: it stops
 // reading AND writing without closing, like a SIGSTOP'd process — its
 // write queue grows until backpressure), "partition:tx@3" (one-way
@@ -61,8 +63,8 @@ enum class FaultAction : std::uint8_t {
   kTruncate,  // send only a frame prefix, then close
   kClose,     // close the connection instead of sending
   // Kill the whole sending endpoint, not just one connection: the frame is
-  // not sent, the connection closes, and the injector latches
-  // kill_requested() for the endpoint's event loop to act on. On the
+  // not sent and the injector latches kill_requested() for the
+  // endpoint's event loop to act on. On the
   // server this simulates a parameter-server crash at an exact,
   // deterministic point in the fan-out (RpcServer checks the latch and
   // dies abruptly — no ERROR broadcast, sockets dropped mid-step — so

@@ -29,6 +29,18 @@ namespace {
 // early on socket activity).
 constexpr int kPollSliceMs = 50;
 
+// Storage-fault posture: a failed checkpoint write is retried this many
+// times after the first attempt, with a linear backoff, before the run
+// continues degraded.
+constexpr int kCheckpointWriteRetries = 2;
+constexpr int kCheckpointRetryBackoffMs = 10;
+
+// Liveness beacon cadence, the same on both sides: heartbeat_ms when set,
+// else a quarter of the lease (at least 50 ms).
+int HeartbeatCadenceMs(int lease_ms, int heartbeat_ms) {
+  return heartbeat_ms > 0 ? heartbeat_ms : std::max(50, lease_ms / 4);
+}
+
 // Every fault funnels through here: error log, rpc/transport_errors
 // counter, and a flight-recorder event + dump so a post-mortem of a failed
 // distributed run has the last ~256 steps alongside the fault.
@@ -256,18 +268,32 @@ void RpcServer::MarkWorkerDead(std::size_t w, const std::string& reason) {
   }
   // Discard the dead worker's partial contribution to the step being
   // collected; a rejoiner resends the whole step from its pending buffers.
-  if (current_step_ >= 0 && current_step_ < config_.total_steps) {
-    std::fill(push_seen_[w].begin(), push_seen_[w].end(), false);
-    stats_seen_[w] = false;
-    push_wire_bytes_[w] = 0;
-    barrier_arrival_ms_[w] = -1.0;  // the rejoiner re-arrives from scratch
-  }
+  ResetContribution(w);
   RecomputePending();
-  RecordMembershipEvent("worker " + std::to_string(w) + " lost (" + reason +
-                            "); holding barrier " +
+  RecordMembershipEvent(reason + "; holding barrier " +
                             std::to_string(config_.grace_ms) +
                             " ms for rejoin",
                         /*error=*/false);
+}
+
+void RpcServer::LoseWorker(int w, const std::string& why) {
+  if (config_.grace_ms > 0) {
+    if (w >= 0) {
+      MarkWorkerDead(static_cast<std::size_t>(w), why);
+    } else {
+      THREELC_LOG(Warn) << "rpc server: " << why;
+    }
+    return;
+  }
+  Fail(why);
+}
+
+void RpcServer::ResetContribution(std::size_t w) {
+  if (current_step_ < 0 || current_step_ >= config_.total_steps) return;
+  std::fill(push_seen_[w].begin(), push_seen_[w].end(), false);
+  stats_seen_[w] = false;
+  push_wire_bytes_[w] = 0;
+  barrier_arrival_ms_[w] = -1.0;  // the worker re-arrives from scratch
 }
 
 void RpcServer::EvictExpired() {
@@ -284,11 +310,6 @@ void RpcServer::EvictExpired() {
       if (failed_) return;
     }
   }
-}
-
-int RpcServer::EffectiveHeartbeatMs() const {
-  if (config_.heartbeat_ms > 0) return config_.heartbeat_ms;
-  return std::max(50, config_.lease_ms / 4);
 }
 
 void RpcServer::StampLiveness(std::size_t w) {
@@ -319,19 +340,15 @@ void RpcServer::CheckLeases() {
         view->RecordLeaseExpiry(static_cast<int>(w));
       }
     }
-    const std::string why = "lease expired (no frame for " +
-                            std::to_string(static_cast<int>(silent_ms)) +
-                            " ms, lease " + std::to_string(config_.lease_ms) +
-                            " ms; hung or partitioned)";
-    if (config_.grace_ms > 0) {
-      // MarkWorkerDead force-closes the half-open socket, so a SIGCONT'd
-      // worker's REJOIN takes the displacement path instead of colliding
-      // with its stale connection.
-      MarkWorkerDead(w, why);
-    } else {
-      Fail("worker " + std::to_string(w) + " " + why);
-      return;
-    }
+    // In grace mode the half-open socket is force-closed, so a SIGCONT'd
+    // worker's REJOIN takes the displacement path instead of colliding
+    // with its stale connection.
+    LoseWorker(static_cast<int>(w),
+               "worker " + std::to_string(w) + " lease expired (no frame for " +
+                   std::to_string(static_cast<int>(silent_ms)) +
+                   " ms, lease " + std::to_string(config_.lease_ms) +
+                   " ms; hung or partitioned)");
+    if (failed_) return;
   }
 }
 
@@ -340,7 +357,8 @@ void RpcServer::SendHeartbeats() {
   const auto now = std::chrono::steady_clock::now();
   if (last_heartbeat_tx_ != std::chrono::steady_clock::time_point{} &&
       std::chrono::duration<double, std::milli>(now - last_heartbeat_tx_)
-              .count() < EffectiveHeartbeatMs()) {
+              .count() <
+          HeartbeatCadenceMs(config_.lease_ms, config_.heartbeat_ms)) {
     return;
   }
   last_heartbeat_tx_ = now;
@@ -359,13 +377,10 @@ void RpcServer::SendHeartbeats() {
       AddCounter(config_.telemetry, "rpc/heartbeats_sent", 1.0);
       continue;
     }
-    const std::string why = "queueing HEARTBEAT: " + conn->last_error();
-    if (config_.grace_ms > 0) {
-      MarkWorkerDead(w, why);
-    } else {
-      Fail("worker " + std::to_string(w) + ": " + why);
-      return;
-    }
+    LoseWorker(static_cast<int>(w), "worker " + std::to_string(w) +
+                                        ": queueing HEARTBEAT: " +
+                                        conn->last_error());
+    if (failed_) return;
   }
 }
 
@@ -450,20 +465,72 @@ bool RpcServer::PollUntil(const std::function<bool()>& done, int timeout_ms,
   return false;
 }
 
+bool RpcServer::CheckJoinIdentity(Connection& conn, const Frame& frame,
+                                  HandshakePayload* claim) {
+  const std::string kind = MsgTypeName(frame.header.type);
+  if (const int id = peers_[&conn].worker_id; id >= 0) {
+    Fail("duplicate " + kind + " on an already-identified connection (worker " +
+         std::to_string(id) + ")");
+    return false;
+  }
+  *claim = DecodeHandshake(frame.payload.span(),
+                           frame.header.type == MsgType::kRejoin);
+  const std::string from = " from worker " + std::to_string(claim->worker_id);
+  if (claim->worker_id >= static_cast<std::uint32_t>(config_.num_workers)) {
+    Fail(kind + " with out-of-range worker id " +
+         std::to_string(claim->worker_id) + " (num_workers " +
+         std::to_string(config_.num_workers) + ")");
+    return false;
+  }
+  if (claim->plan_hash != plan_hash_ || claim->codec != codec_name_) {
+    std::ostringstream oss;
+    oss << kind << " handshake mismatch" << from << ": plan hash " << std::hex
+        << claim->plan_hash << " vs " << plan_hash_ << std::dec << ", codec '"
+        << claim->codec << "' vs '" << codec_name_ << "'";
+    Fail(oss.str());
+    return false;
+  }
+  if (claim->block_codec != block_codec_->id()) {
+    Fail(kind + " handshake block-codec mismatch" + from + ": worker sent id " +
+         std::to_string(static_cast<int>(claim->block_codec)) +
+         ", server runs '" + std::string(block_codec_->name()) + "' (id " +
+         std::to_string(static_cast<int>(block_codec_->id())) + ")");
+    return false;
+  }
+  return true;
+}
+
+bool RpcServer::AdmitWorker(Connection& conn, std::size_t w,
+                            MsgType ack_type) {
+  peers_[&conn].worker_id = static_cast<int>(w);
+  worker_conns_[w] = &conn;
+  member_state_[w] = Member::kActive;
+  StampLiveness(w);
+  if (!greeted_[w]) {
+    greeted_[w] = true;
+    ++handshakes_;
+  }
+  HandshakeAckPayload ack_payload;
+  ack_payload.num_workers = static_cast<std::uint32_t>(config_.num_workers);
+  ack_payload.total_steps = static_cast<std::uint64_t>(config_.total_steps);
+  ack_payload.plan_hash = plan_hash_;
+  ack_payload.block_codec = block_codec_->id();
+  ack_payload.epoch = epoch_;
+  ack_payload.collect_step = static_cast<std::uint64_t>(current_step_);
+  util::ByteBuffer ack;
+  EncodeHandshakeAck(ack_payload, ack_type == MsgType::kRejoinAck, ack);
+  if (!conn.SendFrame(ack_type, 0, 0, ack.span())) {
+    Fail(std::string("sending ") + MsgTypeName(ack_type) + " to worker " +
+         std::to_string(w) + ": " + conn.last_error());
+    return false;
+  }
+  return true;
+}
+
 void RpcServer::HandleHello(Connection& conn, const Frame& frame) {
-  Peer& peer = peers_[&conn];
-  if (peer.worker_id >= 0) {
-    Fail("duplicate HELLO from worker " + std::to_string(peer.worker_id));
-    return;
-  }
-  const HandshakePayload hello = DecodeHandshake(frame.payload.span(),
-                                                 /*rejoin=*/false);
+  HandshakePayload hello;
+  if (!CheckJoinIdentity(conn, frame, &hello)) return;
   const std::uint32_t worker_id = hello.worker_id;
-  if (worker_id >= static_cast<std::uint32_t>(config_.num_workers)) {
-    Fail("HELLO with out-of-range worker id " + std::to_string(worker_id) +
-         " (num_workers " + std::to_string(config_.num_workers) + ")");
-    return;
-  }
   if (hello.epoch != 0) {
     Fail("HELLO from worker " + std::to_string(worker_id) +
          " carries server epoch " + std::to_string(hello.epoch) +
@@ -480,75 +547,14 @@ void RpcServer::HandleHello(Connection& conn, const Frame& frame) {
          " (a restarted worker must REJOIN)");
     return;
   }
-  if (hello.plan_hash != plan_hash_ || hello.codec != codec_name_) {
-    std::ostringstream oss;
-    oss << "handshake mismatch from worker " << worker_id << ": plan hash "
-        << std::hex << hello.plan_hash << " vs " << plan_hash_ << std::dec
-        << ", codec '" << hello.codec << "' vs '" << codec_name_ << "'";
-    Fail(oss.str());
-    return;
-  }
-  if (hello.block_codec != block_codec_->id()) {
-    Fail("handshake block-codec mismatch from worker " +
-         std::to_string(worker_id) + ": worker sent id " +
-         std::to_string(static_cast<int>(hello.block_codec)) +
-         ", server runs '" + std::string(block_codec_->name()) + "' (id " +
-         std::to_string(static_cast<int>(block_codec_->id())) + ")");
-    return;
-  }
-  peer.worker_id = static_cast<int>(worker_id);
-  worker_conns_[worker_id] = &conn;
-  member_state_[worker_id] = Member::kActive;
-  greeted_[worker_id] = true;
-  StampLiveness(worker_id);
-  ++handshakes_;
-
-  HandshakeAckPayload ack_payload;
-  ack_payload.num_workers = static_cast<std::uint32_t>(config_.num_workers);
-  ack_payload.total_steps = static_cast<std::uint64_t>(config_.total_steps);
-  ack_payload.plan_hash = plan_hash_;
-  ack_payload.block_codec = block_codec_->id();
-  ack_payload.epoch = epoch_;
-  util::ByteBuffer ack;
-  EncodeHandshakeAck(ack_payload, /*rejoin=*/false, ack);
-  if (!conn.SendFrame(MsgType::kHelloAck, 0, 0, ack.span())) {
-    Fail("sending HELLO_ACK to worker " + std::to_string(worker_id) + ": " +
-         conn.last_error());
-  }
+  AdmitWorker(conn, worker_id, MsgType::kHelloAck);
 }
 
 void RpcServer::HandleRejoin(Connection& conn, const Frame& frame) {
-  Peer& peer = peers_[&conn];
-  if (peer.worker_id >= 0) {
-    Fail("REJOIN on an already-identified connection (worker " +
-         std::to_string(peer.worker_id) + ")");
-    return;
-  }
-  const HandshakePayload rejoin = DecodeHandshake(frame.payload.span(),
-                                                  /*rejoin=*/true);
+  HandshakePayload rejoin;
+  if (!CheckJoinIdentity(conn, frame, &rejoin)) return;
   const std::uint32_t worker_id = rejoin.worker_id;
   const auto next_step = static_cast<std::int64_t>(rejoin.next_step);
-  if (worker_id >= static_cast<std::uint32_t>(config_.num_workers)) {
-    Fail("REJOIN with out-of-range worker id " + std::to_string(worker_id));
-    return;
-  }
-  if (rejoin.plan_hash != plan_hash_ || rejoin.codec != codec_name_) {
-    std::ostringstream oss;
-    oss << "REJOIN handshake mismatch from worker " << worker_id
-        << ": plan hash " << std::hex << rejoin.plan_hash << " vs "
-        << plan_hash_ << std::dec << ", codec '" << rejoin.codec << "' vs '"
-        << codec_name_ << "'";
-    Fail(oss.str());
-    return;
-  }
-  if (rejoin.block_codec != block_codec_->id()) {
-    Fail("REJOIN block-codec mismatch from worker " +
-         std::to_string(worker_id) + ": worker sent id " +
-         std::to_string(static_cast<int>(rejoin.block_codec)) +
-         ", server runs '" + std::string(block_codec_->name()) + "' (id " +
-         std::to_string(static_cast<int>(block_codec_->id())) + ")");
-    return;
-  }
   // A worker can only ever have seen an epoch this incarnation knows about
   // (epoch_ never regresses: it is persisted before any handshake). A
   // larger epoch means this server restored a checkpoint older than the
@@ -608,31 +614,9 @@ void RpcServer::HandleRejoin(Connection& conn, const Frame& frame) {
     worker_conns_[w] = nullptr;
   }
 
-  peer.worker_id = static_cast<int>(worker_id);
-  worker_conns_[w] = &conn;
-  member_state_[w] = Member::kActive;
-  StampLiveness(w);
-  if (!greeted_[w]) {
-    greeted_[w] = true;
-    ++handshakes_;
-  }
   ++rejoins_;
   AddCounter(config_.telemetry, "rpc/rejoins", 1.0);
-
-  HandshakeAckPayload ack_payload;
-  ack_payload.num_workers = static_cast<std::uint32_t>(config_.num_workers);
-  ack_payload.total_steps = static_cast<std::uint64_t>(config_.total_steps);
-  ack_payload.plan_hash = plan_hash_;
-  ack_payload.block_codec = block_codec_->id();
-  ack_payload.epoch = epoch_;
-  ack_payload.collect_step = static_cast<std::uint64_t>(current_step_);
-  util::ByteBuffer ack;
-  EncodeHandshakeAck(ack_payload, /*rejoin=*/true, ack);
-  if (!conn.SendFrame(MsgType::kRejoinAck, 0, 0, ack.span())) {
-    Fail("sending REJOIN_ACK to worker " + std::to_string(worker_id) + ": " +
-         conn.last_error());
-    return;
-  }
+  if (!AdmitWorker(conn, w, MsgType::kRejoinAck)) return;
 
   // Replay the shared pull bytes for every completed step the worker
   // missed, verbatim — the worker recomputes its own pushes (bitwise
@@ -657,12 +641,7 @@ void RpcServer::HandleRejoin(Connection& conn, const Frame& frame) {
   }
 
   // Expect a fresh contribution to the step being collected.
-  if (current_step_ >= 0 && current_step_ < config_.total_steps) {
-    std::fill(push_seen_[w].begin(), push_seen_[w].end(), false);
-    stats_seen_[w] = false;
-    push_wire_bytes_[w] = 0;
-    barrier_arrival_ms_[w] = -1.0;
-  }
+  ResetContribution(w);
   RecomputePending();
   RecordMembershipEvent(
       "worker " + std::to_string(worker_id) + " rejoined at step " +
@@ -778,6 +757,7 @@ void RpcServer::OnFrame(Connection& conn, Frame&& frame) {
         }
         util::ByteReader reader(frame.payload);
         step_losses_[w] = reader.ReadF32();
+        if (!reader.AtEnd()) throw std::runtime_error("trailing bytes");
         stats_seen_[w] = true;
         --frames_pending_;
         StampBarrierArrival(w);
@@ -844,7 +824,8 @@ void RpcServer::OnDisconnect(Connection& conn, const std::string& reason) {
       registered = true;
     }
   }
-  if (peer.said_bye) return;  // expected teardown after BYE_ACK
+  // Expected teardown after BYE_ACK, or after the run already ended.
+  if (peer.said_bye || failed_) return;
   std::ostringstream oss;
   if (peer.worker_id >= 0) {
     oss << "worker " << peer.worker_id;
@@ -853,17 +834,11 @@ void RpcServer::OnDisconnect(Connection& conn, const std::string& reason) {
   }
   oss << " disconnected mid-run";
   if (!reason.empty()) oss << " (" << reason << ")";
-  if (config_.grace_ms > 0) {
-    if (registered && !failed_ &&
-        member_state_[static_cast<std::size_t>(peer.worker_id)] ==
-            Member::kActive) {
-      MarkWorkerDead(static_cast<std::size_t>(peer.worker_id), oss.str());
-    } else {
-      THREELC_LOG(Warn) << "rpc server: " << oss.str();
-    }
-    return;
-  }
-  Fail(oss.str());
+  // Only a worker's registered connection holds its barrier slot.
+  const bool holds_slot =
+      registered && member_state_[static_cast<std::size_t>(
+                        peer.worker_id)] == Member::kActive;
+  LoseWorker(holds_slot ? peer.worker_id : -1, oss.str());
 }
 
 void RpcServer::BeginCollect(std::int64_t step) {
@@ -872,12 +847,7 @@ void RpcServer::BeginCollect(std::int64_t step) {
     frames_pending_ = 0;
     return;
   }
-  for (std::size_t w = 0; w < push_seen_.size(); ++w) {
-    std::fill(push_seen_[w].begin(), push_seen_[w].end(), false);
-    stats_seen_[w] = false;
-    push_wire_bytes_[w] = 0;
-  }
-  std::fill(barrier_arrival_ms_.begin(), barrier_arrival_ms_.end(), -1.0);
+  for (std::size_t w = 0; w < push_seen_.size(); ++w) ResetContribution(w);
   collect_timer_.Reset();
   RecomputePending();
 }
@@ -1063,15 +1033,6 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
     if (!WriteCheckpoint(step + 1, /*force=*/false)) return false;
   }
 
-  // Chaos drill: die between the checkpoint write and the fan-out — the
-  // window where a generation fallback on resume is provably bitwise-safe
-  // (no worker has seen this step's result yet).
-  if (step == config_.exit_at_checkpoint) {
-    SimulatedCrash("simulated server crash at step " + std::to_string(step) +
-                   "'s checkpoint (before fan-out)");
-    return false;
-  }
-
   double fanout_ms = 0.0;
   {
     obs::Phase phase({.tracer = tracer, .span = "rpc/fan_out", .step = step,
@@ -1085,20 +1046,19 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
         if (conn != nullptr && conn->SendEncoded(fanout[t].span(), 1)) {
           continue;
         }
+        // A killserver rule on the step's first PULL frame fires between
+        // the write-ahead checkpoint and any fan-out byte — the window
+        // where a generation fallback on resume is bitwise-safe.
         if (config_.fault != nullptr && config_.fault->kill_requested()) {
           SimulatedCrash("injected server kill fanning out step " +
                          std::to_string(step) + " pulls");
           return false;
         }
-        const std::string why =
-            "queueing PULL to worker " + std::to_string(w) + ": " +
-            (conn != nullptr ? conn->last_error() : "connection gone");
-        if (config_.grace_ms > 0) {
-          MarkWorkerDead(w, why);
-          continue;
-        }
-        Fail(why);
-        return false;
+        LoseWorker(static_cast<int>(w),
+                   "queueing PULL to worker " + std::to_string(w) + ": " +
+                       (conn != nullptr ? conn->last_error()
+                                        : "connection gone"));
+        if (failed_) return false;
       }
     }
     if (max_replay == 0) replay_.clear();
@@ -1339,14 +1299,14 @@ bool RpcServer::WriteCheckpoint(std::int64_t next_step, bool force) {
   // been fanned out yet, so the last intact generation still covers
   // everything any worker has seen.
   nn::CheckpointManager& ckpt = Checkpointer();
-  const int attempts = 1 + std::max(config_.checkpoint_write_retries, 0);
+  const int attempts = 1 + kCheckpointWriteRetries;
   bool written = false;
   std::string last_error;
   util::WallTimer write_timer;
   for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0 && config_.checkpoint_retry_backoff_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          config_.checkpoint_retry_backoff_ms * attempt));
+    if (attempt > 0) {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(kCheckpointRetryBackoffMs * attempt));
     }
     try {
       ckpt.Save(ps_->global_model(), state);
@@ -1721,9 +1681,8 @@ Connection::IoResult RpcWorker::WaitDataFrame(Connection& conn, Frame* frame,
   // bound that keeps a hung or one-way-partitioned server from costing
   // the full timeout_ms.
   const bool lease_on = config_.lease_ms > 0;
-  const int cadence = config_.heartbeat_ms > 0
-                          ? config_.heartbeat_ms
-                          : std::max(50, config_.lease_ms / 4);
+  const int cadence =
+      HeartbeatCadenceMs(config_.lease_ms, config_.heartbeat_ms);
   util::WallTimer total_timer;
   util::WallTimer silence_timer;
   double next_beat_ms = 0.0;  // beacon immediately on entering the wait
@@ -1731,8 +1690,10 @@ Connection::IoResult RpcWorker::WaitDataFrame(Connection& conn, Frame* frame,
     const int remaining =
         timeout_ms - static_cast<int>(total_timer.ElapsedMillis());
     if (remaining <= 0) {
+      // Only this wait's own deadline counts; a lease slice ending below
+      // is the beacon clock ticking.
       if (metrics_.timeouts != nullptr) metrics_.timeouts->Add(1.0);
-      return Connection::IoResult::kError;
+      return Connection::IoResult::kTimeout;
     }
     int slice = remaining;
     if (lease_on) {
@@ -1767,7 +1728,8 @@ Connection::IoResult RpcWorker::WaitDataFrame(Connection& conn, Frame* frame,
                             static_cast<int>(silence_timer.ElapsedMillis())});
       slice = std::max(slice, 1);
     }
-    const Connection::IoResult r = conn.WaitFrame(frame, slice);
+    const Connection::IoResult r = conn.PollFrame(frame, slice);
+    if (r == Connection::IoResult::kTimeout) continue;
     if (r == Connection::IoResult::kOk) {
       silence_timer.Reset();
       if (frame->header.type == MsgType::kHeartbeat) {
@@ -1776,133 +1738,79 @@ Connection::IoResult RpcWorker::WaitDataFrame(Connection& conn, Frame* frame,
         continue;
       }
       if (frame->header.type == MsgType::kEvict) {
-        // Membership news about another worker; informational here.
-        std::uint32_t evicted = 0xFFFFFFFFu;
-        try {
-          util::ByteReader reader(frame->payload);
-          evicted = reader.ReadU32();
-        } catch (...) {
+        // Membership news about another worker; informational here, but
+        // validated like every payload.
+        if (frame->payload.size() != sizeof(std::uint32_t)) {
+          Fail("malformed EVICT payload (" +
+               std::to_string(frame->payload.size()) + " bytes)");
+          conn.Close();
+          return Connection::IoResult::kError;
         }
+        util::ByteReader reader(frame->payload);
         THREELC_LOG(Warn) << "rpc worker " << config_.worker_id
-                          << ": server evicted worker " << evicted;
+                          << ": server evicted worker " << reader.ReadU32();
         continue;
       }
-      return r;
-    }
-    if (r == Connection::IoResult::kClosed) return r;
-    // kError: a slice that merely timed out (transport.cc's WaitFrame
-    // message, verbatim) is the lease/beacon clock ticking, not a fault.
-    if (lease_on && conn.last_error() == "timed out waiting for a frame") {
-      continue;
     }
     return r;
   }
 }
 
-bool RpcWorker::Handshake(Connection& conn) {
+bool RpcWorker::Join(Connection& conn, bool rejoin,
+                     std::int64_t* collect_step) {
+  const MsgType type = rejoin ? MsgType::kRejoin : MsgType::kHello;
+  const MsgType ack_type = rejoin ? MsgType::kRejoinAck : MsgType::kHelloAck;
+  const std::string kind = MsgTypeName(type);
+  const std::string ack_kind = MsgTypeName(ack_type);
   HandshakePayload payload;
   payload.worker_id = static_cast<std::uint32_t>(config_.worker_id);
   payload.plan_hash = PlanHash(*plan_, codec_name_);
   payload.codec = codec_name_;
   payload.block_codec = block_codec_->id();
-  payload.epoch = 0;  // fresh worker: no incarnation seen yet
-  util::ByteBuffer hello;
-  EncodeHandshake(payload, /*rejoin=*/false, hello);
-  if (!conn.SendFrame(MsgType::kHello, 0, 0, hello.span())) {
-    return Fail("sending HELLO: " + conn.last_error());
-  }
-  if (conn.FlushOutput(config_.io_timeout_ms) != Connection::IoResult::kOk) {
-    return Fail("flushing HELLO: " + DescribeWait(Connection::IoResult::kError,
-                                                  conn));
-  }
-  Frame ack;
-  const Connection::IoResult r =
-      WaitDataFrame(conn, &ack, config_.handshake_timeout_ms);
-  if (r != Connection::IoResult::kOk) {
-    return Fail("waiting for HELLO_ACK: " + DescribeWait(r, conn));
-  }
-  if (ack.header.type == MsgType::kError) {
-    return Fail("server rejected handshake: " + PayloadString(ack));
-  }
-  if (ack.header.type != MsgType::kHelloAck) {
-    return Fail(std::string("expected HELLO_ACK, got ") +
-                MsgTypeName(ack.header.type));
-  }
-  try {
-    const HandshakeAckPayload ackp =
-        DecodeHandshakeAck(ack.payload.span(), /*rejoin=*/false);
-    num_workers_ = static_cast<int>(ackp.num_workers);
-    total_steps_ = static_cast<std::int64_t>(ackp.total_steps);
-    if (ackp.plan_hash != PlanHash(*plan_, codec_name_)) {
-      return Fail("HELLO_ACK plan hash mismatch");
-    }
-    if (ackp.block_codec != block_codec_->id()) {
-      return Fail("HELLO_ACK block-codec mismatch: server negotiated id " +
-                  std::to_string(static_cast<int>(ackp.block_codec)) +
-                  ", worker runs '" + std::string(block_codec_->name()) +
-                  "' (id " + std::to_string(static_cast<int>(
-                                 block_codec_->id())) + ")");
-    }
-    if (ackp.epoch == 0) {
-      return Fail("HELLO_ACK carries epoch 0 (every server incarnation is "
-                  "numbered from 1)");
-    }
-    server_epoch_ = ackp.epoch;
-  } catch (const std::exception& e) {
-    return Fail(std::string("malformed HELLO_ACK: ") + e.what());
-  }
-  return true;
-}
-
-bool RpcWorker::RejoinHandshake(Connection& conn,
-                                std::int64_t* collect_step) {
-  HandshakePayload payload;
-  payload.worker_id = static_cast<std::uint32_t>(config_.worker_id);
-  payload.plan_hash = PlanHash(*plan_, codec_name_);
-  payload.codec = codec_name_;
-  payload.block_codec = block_codec_->id();
-  // 0 when this process restarted from a checkpoint and never completed a
-  // handshake; the server accepts any epoch <= its own.
+  // The last incarnation this worker saw: 0 before any ack (so every HELLO
+  // carries 0) and after a restart from a checkpoint; the server accepts
+  // any REJOIN epoch <= its own.
   payload.epoch = server_epoch_;
   payload.next_step = static_cast<std::uint64_t>(next_apply_);
-  util::ByteBuffer rejoin;
-  EncodeHandshake(payload, /*rejoin=*/true, rejoin);
-  if (!conn.SendFrame(MsgType::kRejoin, 0, 0, rejoin.span())) {
-    return Fail("sending REJOIN: " + conn.last_error());
+  util::ByteBuffer bytes;
+  EncodeHandshake(payload, rejoin, bytes);
+  if (!conn.SendFrame(type, 0, 0, bytes.span())) {
+    return Fail("sending " + kind + ": " + conn.last_error());
   }
-  if (conn.FlushOutput(config_.io_timeout_ms) != Connection::IoResult::kOk) {
-    return Fail("flushing REJOIN: " + conn.last_error());
+  const Connection::IoResult flushed = conn.FlushOutput(config_.io_timeout_ms);
+  if (flushed != Connection::IoResult::kOk) {
+    return Fail("flushing " + kind + ": " + DescribeWait(flushed, conn));
   }
   Frame ack;
   const Connection::IoResult r =
       WaitDataFrame(conn, &ack, config_.handshake_timeout_ms);
   if (r != Connection::IoResult::kOk) {
-    return Fail("waiting for REJOIN_ACK: " + DescribeWait(r, conn));
+    return Fail("waiting for " + ack_kind + ": " + DescribeWait(r, conn));
   }
   if (ack.header.type == MsgType::kError) {
-    return Fail("server rejected rejoin: " + PayloadString(ack));
+    return Fail("server rejected " + kind + ": " + PayloadString(ack));
   }
-  if (ack.header.type != MsgType::kRejoinAck) {
-    return Fail(std::string("expected REJOIN_ACK, got ") +
+  if (ack.header.type != ack_type) {
+    return Fail("expected " + ack_kind + ", got " +
                 MsgTypeName(ack.header.type));
   }
   try {
     const HandshakeAckPayload ackp =
-        DecodeHandshakeAck(ack.payload.span(), /*rejoin=*/true);
+        DecodeHandshakeAck(ack.payload.span(), rejoin);
     num_workers_ = static_cast<int>(ackp.num_workers);
     total_steps_ = static_cast<std::int64_t>(ackp.total_steps);
-    if (ackp.plan_hash != PlanHash(*plan_, codec_name_)) {
-      return Fail("REJOIN_ACK plan hash mismatch");
+    if (ackp.plan_hash != payload.plan_hash) {
+      return Fail(ack_kind + " plan hash mismatch");
     }
     if (ackp.block_codec != block_codec_->id()) {
-      return Fail("REJOIN_ACK block-codec mismatch: server negotiated id " +
+      return Fail(ack_kind + " block-codec mismatch: server negotiated id " +
                   std::to_string(static_cast<int>(ackp.block_codec)) +
                   ", worker runs '" + std::string(block_codec_->name()) +
                   "' (id " + std::to_string(static_cast<int>(
                                  block_codec_->id())) + ")");
     }
     if (ackp.epoch == 0) {
-      return Fail("REJOIN_ACK carries epoch 0 (every server incarnation is "
+      return Fail(ack_kind + " carries epoch 0 (every server incarnation is "
                   "numbered from 1)");
     }
     if (server_epoch_ != 0 && ackp.epoch < server_epoch_) {
@@ -1921,15 +1829,8 @@ bool RpcWorker::RejoinHandshake(Connection& conn,
     server_epoch_ = ackp.epoch;
     *collect_step = static_cast<std::int64_t>(ackp.collect_step);
   } catch (const std::exception& e) {
-    return Fail(std::string("malformed REJOIN_ACK: ") + e.what());
+    return Fail("malformed " + ack_kind + ": " + e.what());
   }
-  if (*collect_step < next_apply_) {
-    return Fail("REJOIN_ACK collect step " + std::to_string(*collect_step) +
-                " behind worker resume step " + std::to_string(next_apply_));
-  }
-  THREELC_LOG(Info) << "rpc worker " << config_.worker_id
-                    << ": rejoined at server step " << *collect_step
-                    << " (resuming from step " << next_apply_ << ")";
   return true;
 }
 
@@ -1992,34 +1893,33 @@ bool RpcWorker::UnwrapPull(std::size_t t, util::ByteBuffer& payload) {
   return true;
 }
 
-RpcWorker::StepStatus RpcWorker::ReplayTo(std::int64_t collect_step) {
+RpcWorker::StepStatus RpcWorker::ReceivePulls(std::int64_t step,
+                                              TelemetryPayload& record) {
   const std::size_t num_tensors = plan_->size();
-  for (std::int64_t r = next_apply_; r < collect_step; ++r) {
-    // Advance the local state machine exactly as the original pass did:
-    // sample the batch, run forward/backward, and encode the pushes (which
-    // moves the EA buffers) — then discard the sends, since the server
-    // already aggregated bitwise-identical bytes.
-    if (computed_through_ < r) ComputeStep(r);
-    std::vector<util::ByteBuffer> pulls(num_tensors);
+  std::vector<util::ByteBuffer> pulls(num_tensors);
+  {
+    obs::Phase wait_phase({.ns = &record.pull_wait_ns});
     for (std::size_t t = 0; t < num_tensors; ++t) {
       Frame frame;
-      const Connection::IoResult io =
+      const Connection::IoResult r =
           WaitDataFrame(*conn_, &frame, config_.pull_timeout_ms);
-      if (io != Connection::IoResult::kOk) {
+      if (r != Connection::IoResult::kOk) {
+        if (failed_) return StepStatus::kFailed;
         THREELC_LOG(Warn) << "rpc worker " << config_.worker_id
-                          << ": connection lost during replay of step " << r
-                          << ": " << DescribeWait(io, *conn_);
+                          << ": waiting for step " << step
+                          << " PULL tensor " << t
+                          << " failed: " << DescribeWait(r, *conn_);
         return StepStatus::kRetry;
       }
       if (frame.header.type == MsgType::kError) {
-        Fail("server error during replay: " + PayloadString(frame));
+        Fail("server error: " + PayloadString(frame));
         return StepStatus::kFailed;
       }
       if (frame.header.type != MsgType::kPull ||
-          frame.header.step != static_cast<std::uint64_t>(r) ||
+          frame.header.step != static_cast<std::uint64_t>(step) ||
           frame.header.tensor != static_cast<std::uint32_t>(t)) {
         std::ostringstream oss;
-        oss << "protocol violation during replay: expected PULL step " << r
+        oss << "protocol violation: expected PULL step " << step
             << " tensor " << t << ", got " << MsgTypeName(frame.header.type)
             << " step " << frame.header.step << " tensor "
             << frame.header.tensor;
@@ -2028,23 +1928,49 @@ RpcWorker::StepStatus RpcWorker::ReplayTo(std::int64_t collect_step) {
       }
       pulls[t] = std::move(frame.payload);
     }
-    for (std::size_t t = 0; t < num_tensors; ++t) {
-      if (!UnwrapPull(t, pulls[t])) return StepStatus::kFailed;
-      try {
-        util::ByteReader reader(pulls[t]);
-        worker_->ApplyPull(t, reader);
-        if (!reader.AtEnd()) {
-          Fail("trailing bytes in replayed PULL for tensor " +
-               std::to_string(t));
-          return StepStatus::kFailed;
-        }
-      } catch (const std::exception& e) {
-        Fail(std::string("applying replayed PULL tensor ") +
-             std::to_string(t) + ": " + e.what());
+  }
+  obs::Phase decode_phase({.ns = &record.decode_ns});
+  for (std::size_t t = 0; t < num_tensors; ++t) {
+    record.bytes_in += pulls[t].size();
+    if (!UnwrapPull(t, pulls[t])) return StepStatus::kFailed;
+    record.stage1_bytes_in += pulls[t].size();
+    try {
+      util::ByteReader reader(pulls[t]);
+      worker_->ApplyPull(t, reader);
+      if (!reader.AtEnd()) {
+        Fail("trailing bytes in PULL payload for tensor " +
+             std::to_string(t));
         return StepStatus::kFailed;
       }
+    } catch (const std::exception& e) {
+      Fail(std::string("applying PULL tensor ") + std::to_string(t) + ": " +
+           e.what());
+      return StepStatus::kFailed;
     }
-    ++next_apply_;
+  }
+  ++next_apply_;
+  return StepStatus::kOk;
+}
+
+RpcWorker::StepStatus RpcWorker::ReplayTo(std::int64_t collect_step) {
+  if (collect_step < next_apply_) {
+    Fail("REJOIN_ACK collect step " + std::to_string(collect_step) +
+         " behind worker resume step " + std::to_string(next_apply_));
+    return StepStatus::kFailed;
+  }
+  THREELC_LOG(Info) << "rpc worker " << config_.worker_id
+                    << ": rejoined at server step " << collect_step
+                    << " (resuming from step " << next_apply_ << ")";
+  while (next_apply_ < collect_step) {
+    // Advance the local state machine exactly as the original pass did:
+    // sample the batch, run forward/backward, and encode the pushes (which
+    // moves the EA buffers) — then discard the sends, since the server
+    // already aggregated bitwise-identical bytes. A replayed step ships no
+    // TELEMETRY record.
+    if (computed_through_ < next_apply_) ComputeStep(next_apply_);
+    TelemetryPayload unsent;
+    const StepStatus status = ReceivePulls(next_apply_, unsent);
+    if (status != StepStatus::kOk) return status;
     ++steps_run_;
   }
   return StepStatus::kOk;
@@ -2082,12 +2008,11 @@ bool RpcWorker::Connect(bool rejoin_mode) {
   const int track = 1 + config_.worker_id;
   obs::ScopedSpan span(tracer, rejoin_mode ? "rpc/rejoin" : "rpc/handshake",
                        track);
-  if (!rejoin_mode) return Handshake(*conn_);
   std::int64_t collect_step = 0;
-  if (!RejoinHandshake(*conn_, &collect_step)) return false;
+  if (!Join(*conn_, rejoin_mode, &collect_step)) return false;
   // kRetry leaves failed_ unset: the caller may spend another reconnect
   // attempt on a fresh REJOIN.
-  return ReplayTo(collect_step) == StepStatus::kOk;
+  return !rejoin_mode || ReplayTo(collect_step) == StepStatus::kOk;
 }
 
 bool RpcWorker::Reconnect() {
@@ -2154,61 +2079,9 @@ RpcWorker::StepStatus RpcWorker::RunStep(std::int64_t step) {
   }
   {
     obs::ScopedSpan span(tracer, "rpc/pull_wait", track, step);
-    // Collect all of the step's pulls before applying any (deferred
-    // apply): a connection lost mid-collect leaves the model untouched and
-    // the step cleanly resumable after a rejoin.
-    std::vector<util::ByteBuffer> pulls(num_tensors);
-    {
-      obs::Phase wait_phase({.ns = &pending_telemetry_.pull_wait_ns});
-      for (std::size_t t = 0; t < num_tensors; ++t) {
-        Frame frame;
-        const Connection::IoResult r =
-            WaitDataFrame(*conn_, &frame, config_.pull_timeout_ms);
-        if (r != Connection::IoResult::kOk) {
-          THREELC_LOG(Warn) << "rpc worker " << config_.worker_id
-                            << ": waiting for PULL tensor " << t << " failed: "
-                            << DescribeWait(r, *conn_);
-          return StepStatus::kRetry;
-        }
-        if (frame.header.type == MsgType::kError) {
-          Fail("server error: " + PayloadString(frame));
-          return StepStatus::kFailed;
-        }
-        if (frame.header.type != MsgType::kPull ||
-            frame.header.step != static_cast<std::uint64_t>(step) ||
-            frame.header.tensor != static_cast<std::uint32_t>(t)) {
-          std::ostringstream oss;
-          oss << "protocol violation: expected PULL step " << step
-              << " tensor " << t << ", got " << MsgTypeName(frame.header.type)
-              << " step " << frame.header.step << " tensor "
-              << frame.header.tensor;
-          Fail(oss.str());
-          return StepStatus::kFailed;
-        }
-        pulls[t] = std::move(frame.payload);
-      }
-    }
-    obs::Phase decode_phase({.ns = &pending_telemetry_.decode_ns});
-    for (std::size_t t = 0; t < num_tensors; ++t) {
-      pending_telemetry_.bytes_in += pulls[t].size();
-      if (!UnwrapPull(t, pulls[t])) return StepStatus::kFailed;
-      pending_telemetry_.stage1_bytes_in += pulls[t].size();
-      try {
-        util::ByteReader reader(pulls[t]);
-        worker_->ApplyPull(t, reader);
-        if (!reader.AtEnd()) {
-          Fail("trailing bytes in PULL payload for tensor " +
-               std::to_string(t));
-          return StepStatus::kFailed;
-        }
-      } catch (const std::exception& e) {
-        Fail(std::string("applying PULL tensor ") + std::to_string(t) +
-             ": " + e.what());
-        return StepStatus::kFailed;
-      }
-    }
+    const StepStatus status = ReceivePulls(step, pending_telemetry_);
+    if (status != StepStatus::kOk) return status;
   }
-  ++next_apply_;
   // Ship the completed step's telemetry record. Best-effort by design:
   // it is queued here and rides out with the next step's pushes (or the
   // BYE flush); a send failure is surfaced by the next real send, not by
@@ -2221,7 +2094,7 @@ RpcWorker::StepStatus RpcWorker::RunStep(std::int64_t step) {
   return StepStatus::kOk;
 }
 
-void RpcWorker::WriteResumeCheckpoint(const std::string& path) {
+void RpcWorker::WriteResumeCheckpoint() {
   // Checkpoint timing invariant: after completing step k, the model has
   // k's pulls applied, the EA buffers have advanced through k's encode,
   // the sampler has consumed k's batch, and next_step is k + 1 — exactly
@@ -2236,31 +2109,29 @@ void RpcWorker::WriteResumeCheckpoint(const std::string& path) {
   sampler_.SaveState(sampler_blob);
   state.sampler_state.assign(sampler_blob.data(),
                              sampler_blob.data() + sampler_blob.size());
-  nn::SaveCheckpointWithState(worker_->model(), state, path,
-                              config_.block_codec);
+  nn::SaveCheckpointWithState(worker_->model(), state,
+                              config_.checkpoint_path, config_.block_codec);
 }
 
 void RpcWorker::SimulateCrash(std::int64_t step) {
-  if (!config_.exit_checkpoint_path.empty()) {
-    WriteResumeCheckpoint(config_.exit_checkpoint_path);
-  }
+  if (!config_.checkpoint_path.empty()) WriteResumeCheckpoint();
   conn_->Close();  // abrupt: no BYE — the server sees a mid-run disconnect
   simulated_exit_ = true;
   failed_ = true;
   error_ = "simulated crash after step " + std::to_string(step);
   THREELC_LOG(Info) << "rpc worker " << config_.worker_id << ": " << error_
-                    << (config_.exit_checkpoint_path.empty()
+                    << (config_.checkpoint_path.empty()
                             ? ""
-                            : " (checkpoint at " +
-                                  config_.exit_checkpoint_path + ")");
+                            : " (checkpoint at " + config_.checkpoint_path +
+                                  ")");
 }
 
 void RpcWorker::GracefulStop() {
   std::string note;
-  if (!config_.stop_checkpoint_path.empty()) {
+  if (!config_.checkpoint_path.empty()) {
     try {
-      WriteResumeCheckpoint(config_.stop_checkpoint_path);
-      note = "; checkpoint at " + config_.stop_checkpoint_path;
+      WriteResumeCheckpoint();
+      note = "; checkpoint at " + config_.checkpoint_path;
     } catch (const std::exception& e) {
       THREELC_LOG(Error) << "rpc worker " << config_.worker_id
                          << ": writing stop checkpoint: " << e.what();

@@ -145,14 +145,6 @@ struct RpcServerConfig {
   // ("<checkpoint_path>.g<N>", see nn/checkpoint_manager.h). 2 gives
   // last-good fallback when the newest generation is torn or corrupt.
   int checkpoint_retain = 2;
-  // Storage-fault posture: a failed checkpoint write is retried this many
-  // times (after the first attempt) with a linear backoff between tries,
-  // then training continues DEGRADED on the last intact generation —
-  // /healthz flips to degraded with a "recovery at risk" reason and
-  // ckpt/write_failures counts every failed attempt — instead of
-  // aborting the run. A later successful write restores healthy.
-  int checkpoint_write_retries = 2;
-  int checkpoint_retry_backoff_ms = 10;
   // Syscall seam for checkpoint writes (util/fs.h); nullptr = the real
   // filesystem. Chaos drills install a FaultFs here. Not owned.
   util::Fs* fs = nullptr;
@@ -160,18 +152,14 @@ struct RpcServerConfig {
   // disk), drop every socket abruptly — no ERROR broadcast, no flush —
   // and return from Run with simulated_exit() true. -1 disables.
   std::int64_t exit_after_step = -1;
-  // Chaos testing: crash BETWEEN step K's checkpoint write and its pull
-  // fan-out — the exact window where the write-ahead invariant makes a
-  // generation fallback bitwise-safe (no worker has seen step K's
-  // result). -1 disables. Distinct from exit_after_step, which crashes
-  // after the fan-out completed.
-  std::int64_t exit_at_checkpoint = -1;
   // Graceful stop (e.g. set by a SIGTERM handler): polled by the event
   // loop; when it flips true the server writes a forced checkpoint,
   // notifies workers, closes cleanly, and returns with interrupted()
   // true. Not owned; may be nullptr.
   const std::atomic<bool>* stop_flag = nullptr;
-  // Injected into every accepted connection (chaos testing); not owned.
+  // Injected into every accepted connection (chaos testing); not owned. A
+  // "killserver:pull@K" rule crashes the server between step K's
+  // checkpoint write and its fan-out (see rpc/fault.h).
   FaultInjector* fault = nullptr;
   // Optional; adds rpc metrics, per-step JSONL records, handshake /
   // step-barrier spans (track 0), and flight-recorder error events.
@@ -256,6 +244,12 @@ class RpcServer {
   void OnDisconnect(Connection& conn, const std::string& reason);
   void HandleHello(Connection& conn, const Frame& frame);
   void HandleRejoin(Connection& conn, const Frame& frame);
+  // The join checks HELLO and REJOIN share (identity, id range, plan hash,
+  // codec, block codec); Fails the run and returns false on a mismatch.
+  bool CheckJoinIdentity(Connection& conn, const Frame& frame,
+                         HandshakePayload* claim);
+  // Bind worker w to conn and send the HELLO_ACK / REJOIN_ACK.
+  bool AdmitWorker(Connection& conn, std::size_t w, MsgType ack_type);
   // Poll until `done` returns true. False on fault or deadline. Also
   // drives grace-window expiry (evictions) between poll slices.
   bool PollUntil(const std::function<bool()>& done, int timeout_ms,
@@ -271,16 +265,20 @@ class RpcServer {
 
   // Liveness plumbing (lease_ms > 0). StampLiveness records a frame —
   // any type — from worker w; CheckLeases sweeps for workers silent past
-  // the lease and routes them through MarkWorkerDead (grace mode) or
-  // Fail (strict); SendHeartbeats broadcasts the server's beacon on the
-  // effective cadence. All driven from PollUntil's slice loop.
+  // the lease and routes them through LoseWorker; SendHeartbeats
+  // broadcasts the server's beacon on the heartbeat cadence. All driven
+  // from PollUntil's slice loop.
   void StampLiveness(std::size_t w);
   void CheckLeases();
   void SendHeartbeats();
-  int EffectiveHeartbeatMs() const;
 
-  // Fault-tolerance plumbing.
+  // Fault-tolerance plumbing. LoseWorker is the one worker-loss policy:
+  // grace mode holds worker w's barrier slot open for a REJOIN (w < 0, a
+  // connection holding no slot, is only logged); strict mode Fails.
+  void LoseWorker(int w, const std::string& why);
   void MarkWorkerDead(std::size_t w, const std::string& reason);
+  // Forget worker w's contributions to the step being collected.
+  void ResetContribution(std::size_t w);
   void EvictExpired();               // grace-window sweep
   void Evict(std::size_t w, const std::string& reason);
   void RecomputePending();           // barrier countdown from scratch
@@ -295,10 +293,10 @@ class RpcServer {
   // Server-recovery plumbing. WriteCheckpoint persists the current state
   // under `next_step` when the cadence (or `force`) says so, writing the
   // next checkpoint generation through the CheckpointManager. An I/O
-  // error is retried (checkpoint_write_retries, linear backoff), then
-  // training continues DEGRADED on the last intact generation — recovery
-  // is at risk but the run is not aborted — so the return value is only
-  // false when a crash latch fired, never on write failure.
+  // error is retried (twice, linear backoff), then training continues
+  // DEGRADED on the last intact generation — recovery is at risk but the
+  // run is not aborted — so the return value is only false when a crash
+  // latch fired, never on write failure.
   // SimulatedCrash drops every socket with no goodbye. GracefulStop is
   // the stop_flag path: forced checkpoint, ERROR notice to workers,
   // interrupted() true.
@@ -425,18 +423,18 @@ struct RpcWorkerConfig {
   // lease_ms + backoff instead of the full pull_timeout_ms. 0 disables.
   int lease_ms = 0;
   int heartbeat_ms = 0;
-  // Chaos testing: after completing this step, write a checkpoint v3 to
-  // exit_checkpoint_path (if set), close the socket abruptly (no BYE), and
-  // return from Run with simulated_exit() true. -1 disables.
+  // Resume checkpoint v3 (model + EA buffers + sampler cursor + step
+  // counter), written on a simulated crash or a graceful stop when set.
+  std::string checkpoint_path;
+  // Chaos testing: after completing this step, write checkpoint_path,
+  // close the socket abruptly (no BYE), and return from Run with
+  // simulated_exit() true. -1 disables.
   std::int64_t exit_after_step = -1;
-  std::string exit_checkpoint_path;
   // Graceful stop (e.g. set by a SIGTERM handler): polled between steps;
-  // when it flips true the worker writes a checkpoint v3 to
-  // stop_checkpoint_path (if set), closes, and returns from Run with
-  // interrupted() true — restartable exactly where it left off. Not
-  // owned; may be nullptr.
+  // when it flips true the worker writes checkpoint_path, closes, and
+  // returns from Run with interrupted() true — restartable exactly where
+  // it left off. Not owned; may be nullptr.
   const std::atomic<bool>* stop_flag = nullptr;
-  std::string stop_checkpoint_path;
   // Injected into every connection this worker makes; not owned.
   FaultInjector* fault = nullptr;
   obs::Telemetry* telemetry = nullptr;  // optional rpc metrics + spans
@@ -486,11 +484,15 @@ class RpcWorker {
   // failed_ unset on a soft failure (connection died again mid-replay).
   bool Connect(bool rejoin_mode);
   bool Reconnect();
-  bool Handshake(Connection& conn);
-  bool RejoinHandshake(Connection& conn, std::int64_t* collect_step);
+  // HELLO or REJOIN handshake; *collect_step gets a REJOIN_ACK's step.
+  bool Join(Connection& conn, bool rejoin, std::int64_t* collect_step);
   // Catch up to the server's collect step by recomputing each missed step
   // locally and applying the replayed pull bytes.
   StepStatus ReplayTo(std::int64_t collect_step);
+  // Collect all of `step`'s PULLs before applying any (a connection lost
+  // mid-collect leaves the model untouched and the step resumable), then
+  // apply them; wait/decode times and byte counts go to `record`.
+  StepStatus ReceivePulls(std::int64_t step, TelemetryPayload& record);
   // Forward/backward + encode every push into pending_push_, advancing the
   // codec's EA buffers and the sampler exactly once per step.
   void ComputeStep(std::int64_t step);
@@ -506,10 +508,8 @@ class RpcWorker {
   bool UnwrapPull(std::size_t t, util::ByteBuffer& payload);
   StepStatus RunStep(std::int64_t step);
   void SimulateCrash(std::int64_t step);
-  // Write a checkpoint v3 (model + EA buffers + sampler cursor +
-  // next_apply_) to `path` — the shared tail of SimulateCrash and the
-  // graceful stop_flag exit.
-  void WriteResumeCheckpoint(const std::string& path);
+  // Writes config_.checkpoint_path for SimulateCrash and GracefulStop.
+  void WriteResumeCheckpoint();
   void GracefulStop();
   bool SayBye(Connection& conn);
   bool Fail(const std::string& message);

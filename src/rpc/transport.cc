@@ -306,9 +306,9 @@ bool Connection::SendEncoded(util::ByteSpan frame_bytes,
         return false;
       case FaultAction::kKillServer:
         // The endpoint-level crash is the owner's job (the injector has
-        // latched kill_requested()); here the frame just dies with the
-        // connection, unflushed — a crash does not say goodbye.
-        Close();
+        // latched kill_requested()); here the frame just is not sent. The
+        // socket stays open until the owner drops every socket, listener
+        // first, so no peer can reconnect to the dying endpoint.
         last_error_ = "injected fault: endpoint killed";
         return false;
       case FaultAction::kStall:
@@ -423,16 +423,20 @@ bool Connection::PopFrame(Frame* out) {
   return true;
 }
 
+void Connection::CountTimeout() const {
+  if (metrics_ != nullptr && metrics_->timeouts != nullptr) {
+    metrics_->timeouts->Add(1.0);
+  }
+}
+
 Connection::IoResult Connection::FlushOutput(int timeout_ms) {
   Deadline deadline(timeout_ms);
   while (wants_write()) {
     const int remaining = deadline.RemainingMs();
     if (remaining == 0) {
-      if (metrics_ != nullptr && metrics_->timeouts != nullptr) {
-        metrics_->timeouts->Add(1.0);
-      }
+      CountTimeout();
       last_error_ = "flush timed out";
-      return IoResult::kError;
+      return IoResult::kTimeout;
     }
     pollfd pfd{fd_, POLLOUT, 0};
     const int ready = poll(&pfd, 1, remaining);
@@ -446,16 +450,19 @@ Connection::IoResult Connection::FlushOutput(int timeout_ms) {
 }
 
 Connection::IoResult Connection::WaitFrame(Frame* out, int timeout_ms) {
+  const IoResult r = PollFrame(out, timeout_ms);
+  if (r == IoResult::kTimeout) CountTimeout();
+  return r;
+}
+
+Connection::IoResult Connection::PollFrame(Frame* out, int timeout_ms) {
   Deadline deadline(timeout_ms);
   for (;;) {
     if (PopFrame(out)) return IoResult::kOk;
     const int remaining = deadline.RemainingMs();
     if (remaining == 0) {
-      if (metrics_ != nullptr && metrics_->timeouts != nullptr) {
-        metrics_->timeouts->Add(1.0);
-      }
       last_error_ = "timed out waiting for a frame";
-      return IoResult::kError;
+      return IoResult::kTimeout;
     }
     if (rx_blocked_) {
       // Inbound is severed: polling POLLIN (or riding out POLLHUP) would

@@ -108,9 +108,10 @@ bool SetNoDelay(int fd);
 class Connection {
  public:
   enum class IoResult {
-    kOk,      // made progress (possibly none needed)
-    kClosed,  // peer closed the connection
-    kError,   // socket error, parse error, queue overflow, or timeout
+    kOk,       // made progress (possibly none needed)
+    kClosed,   // peer closed the connection
+    kError,    // socket error, parse error, or queue overflow
+    kTimeout,  // a blocking helper's deadline passed first
   };
 
   // 64 MiB of queued-but-unsent frames before SendFrame reports
@@ -167,10 +168,13 @@ class Connection {
 
   // Blocking helpers for the single-connection (worker) side.
   // FlushOutput writes the whole queue; WaitFrame returns the next frame,
-  // reading as needed. Both fail (kError, timeouts counter) after
-  // `timeout_ms` without completion.
+  // reading as needed. Both return kTimeout after `timeout_ms` without
+  // completion and count it in rpc/timeouts. PollFrame is WaitFrame
+  // without the count, for a caller that waits in slices of a longer
+  // deadline and counts only that deadline's end.
   IoResult FlushOutput(int timeout_ms);
   IoResult WaitFrame(Frame* out, int timeout_ms);
+  IoResult PollFrame(Frame* out, int timeout_ms);
 
   ParseError parse_error() const { return parser_.error(); }
   const std::string& last_error() const { return last_error_; }
@@ -182,6 +186,7 @@ class Connection {
 
  private:
   IoResult FlushSome();  // one non-blocking write pass
+  void CountTimeout() const;
   bool QueueAndFlush(const std::uint8_t* data, std::size_t size,
                      std::size_t frame_count);
 

@@ -8,9 +8,11 @@
 // FaultInjector must produce identical schedules from identical seeds.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +21,8 @@
 #include "compress/factory.h"
 #include "data/synthetic.h"
 #include "nn/checkpoint.h"
+#include "nn/checkpoint_manager.h"
+#include "obs/telemetry.h"
 #include "ps/plan.h"
 #include "ps/server.h"
 #include "ps/worker.h"
@@ -85,11 +89,14 @@ struct WorkerChaos {
   FaultInjector* fault = nullptr;
   int lease_ms = 0;
   int heartbeat_ms = 0;
+  obs::Telemetry* telemetry = nullptr;
+  const std::atomic<bool>* stop_flag = nullptr;
 };
 
 struct WorkerResult {
   bool ok = false;
   bool simulated_exit = false;
+  bool interrupted = false;
   std::size_t reconnects = 0;
   std::string error;
 };
@@ -143,14 +150,17 @@ WorkerResult RunOneWorker(const TestSetup& setup, int worker_id, int port,
   wc.rejoin = chaos.rejoin;
   wc.max_reconnects = chaos.max_reconnects;
   wc.exit_after_step = chaos.exit_after_step;
-  wc.exit_checkpoint_path = chaos.checkpoint_path;
+  wc.checkpoint_path = chaos.checkpoint_path;
   wc.fault = chaos.fault;
   wc.block_codec = setup.block_codec;
   wc.lease_ms = chaos.lease_ms;
   wc.heartbeat_ms = chaos.heartbeat_ms;
+  wc.telemetry = chaos.telemetry;
+  wc.stop_flag = chaos.stop_flag;
   RpcWorker worker(wc, ps_worker, plan, codec->name(), std::move(sampler));
   result.ok = worker.Run();
   result.simulated_exit = worker.simulated_exit();
+  result.interrupted = worker.interrupted();
   result.reconnects = worker.reconnects();
   result.error = worker.error();
   return result;
@@ -172,6 +182,7 @@ struct ServerChaos {
   std::int64_t exit_after_step = -1;
   int lease_ms = 0;
   int heartbeat_ms = 0;
+  const std::atomic<bool>* stop_flag = nullptr;
 };
 
 ServerHarness MakeServer(const TestSetup& setup, int grace_ms,
@@ -201,6 +212,7 @@ ServerHarness MakeServer(const TestSetup& setup, int grace_ms,
   sc.checkpoint_path = chaos.checkpoint_path;
   sc.checkpoint_every = chaos.checkpoint_every;
   sc.exit_after_step = chaos.exit_after_step;
+  sc.stop_flag = chaos.stop_flag;
   sc.fault = fault;
   sc.block_codec = setup.block_codec;
   sc.lease_ms = chaos.lease_ms;
@@ -535,6 +547,231 @@ TEST(FaultTolerance, StaleRejoinRejectedWithoutKillingRun) {
   std::remove(ckpt.c_str());
 }
 
+// ---------- join rules ----------
+
+// A raw client connection for handcrafted protocol frames.
+std::unique_ptr<Connection> Dial(int port) {
+  RetryOptions retry;
+  std::string error;
+  const int fd = ConnectWithRetry("127.0.0.1", port, retry, nullptr, &error);
+  EXPECT_GE(fd, 0) << error;
+  return fd >= 0 ? std::make_unique<Connection>(fd) : nullptr;
+}
+
+bool SendHandshake(Connection& conn, const HandshakePayload& payload,
+                   bool rejoin) {
+  util::ByteBuffer bytes;
+  EncodeHandshake(payload, rejoin, bytes);
+  return conn.SendFrame(rejoin ? MsgType::kRejoin : MsgType::kHello, 0, 0,
+                        bytes.span()) &&
+         conn.FlushOutput(2000) == Connection::IoResult::kOk;
+}
+
+// The server's answer on `conn`: the first ERROR frame's text, or "" once
+// the connection closes or stays silent for 5 s.
+std::string AwaitErrorFrame(Connection& conn) {
+  Frame frame;
+  while (conn.WaitFrame(&frame, 5000) == Connection::IoResult::kOk) {
+    if (frame.header.type == MsgType::kError) {
+      return std::string(reinterpret_cast<const char*>(frame.payload.data()),
+                         frame.payload.size());
+    }
+  }
+  return "";
+}
+
+// Every HELLO/REJOIN rule, pinned with handcrafted frames: a malformed or
+// impossible claim fails the whole run, while a rejoiner that is merely
+// too late (evicted, or behind the replay window) is turned away with an
+// ERROR frame and the run goes on. "Resumed" cases probe a server restored
+// from a checkpoint at step 5 that marks workers 0-2 greeted, worker 2
+// evicted, and keeps only step 4 in its replay ring.
+TEST(FaultTolerance, JoinRulesFailRunOrRejectPeer) {
+  TestSetup setup =
+      MakeTestSetup(3, /*steps=*/10, compress::CodecConfig::Float32());
+  const std::string ckpt = ::testing::TempDir() + "/ft_join_rules.sckpt";
+  const std::string generation = ckpt + ".g0";
+  std::remove(generation.c_str());
+  {
+    ServerHarness source = MakeServer(setup, /*grace_ms=*/20000,
+                                      /*replay_steps=*/1);
+    nn::ServerState state;
+    state.epoch = 1;
+    state.next_step = 5;
+    util::ByteBuffer ps_blob;
+    source.ps->SaveState(ps_blob);
+    state.ps_state.assign(ps_blob.data(), ps_blob.data() + ps_blob.size());
+    state.greeted = {1, 1, 1};
+    state.evicted = {0, 0, 1};
+    state.replay.push_back({4, {{0x00}}});
+    nn::CheckpointManager::Options options;
+    options.path = ckpt;
+    nn::CheckpointManager(options).Save(*source.model, state);
+  }
+
+  enum class Prelude { kNone, kHelloSameConn, kHelloOtherConn };
+  struct JoinCase {
+    const char* name;
+    bool resumed;
+    Prelude prelude;  // a valid HELLO for worker 0 sent before the probe
+    bool rejoin;
+    std::function<void(HandshakePayload&)> edit;
+    bool fails_run;
+    const char* want;  // in the run's error, or else in the ERROR reply
+  };
+  auto id = [](std::uint32_t w) {
+    return [w](HandshakePayload& p) { p.worker_id = w; };
+  };
+  auto epoch = [](std::uint64_t e) {
+    return [e](HandshakePayload& p) { p.epoch = e; };
+  };
+  auto next_step = [](std::uint64_t s) {
+    return [s](HandshakePayload& p) { p.next_step = s; };
+  };
+  auto bad_plan = [](HandshakePayload& p) { p.plan_hash ^= 1; };
+  auto bad_codec = [](HandshakePayload& p) { p.codec = "not-a-codec"; };
+  auto bad_block = [](HandshakePayload& p) { p.block_codec = 0x7f; };
+  const std::vector<JoinCase> cases = {
+      {"HELLO out-of-range id", false, Prelude::kNone, false, id(3), true,
+       "out-of-range"},
+      {"REJOIN out-of-range id", false, Prelude::kNone, true, id(3), true,
+       "out-of-range"},
+      {"HELLO with nonzero epoch", false, Prelude::kNone, false, epoch(1),
+       true, "epoch"},
+      {"duplicate HELLO on one connection", false, Prelude::kHelloSameConn,
+       false, nullptr, true, "duplicate HELLO"},
+      {"REJOIN on an identified connection", false, Prelude::kHelloSameConn,
+       true, nullptr, true, "already-identified"},
+      {"second connection claiming a live id", false,
+       Prelude::kHelloOtherConn, false, nullptr, true, "second connection"},
+      {"HELLO from an already-greeted id", true, Prelude::kNone, false,
+       nullptr, true, "already-greeted"},
+      {"HELLO plan mismatch", false, Prelude::kNone, false, bad_plan, true,
+       "plan"},
+      {"HELLO codec mismatch", false, Prelude::kNone, false, bad_codec, true,
+       "plan"},
+      {"REJOIN plan mismatch", false, Prelude::kNone, true, bad_plan, true,
+       "plan"},
+      {"HELLO block-codec mismatch", false, Prelude::kNone, false, bad_block,
+       true, "block-codec"},
+      {"REJOIN block-codec mismatch", false, Prelude::kNone, true, bad_block,
+       true, "block-codec"},
+      {"REJOIN epoch ahead of the server", false, Prelude::kNone, true,
+       epoch(9), true, "ahead"},
+      {"REJOIN claiming a future step", false, Prelude::kNone, true,
+       next_step(3), true, "future step"},
+      {"REJOIN past the replay window", true, Prelude::kNone, true,
+       next_step(0), false, "replay window"},
+      {"REJOIN from an evicted id", true, Prelude::kNone, true, id(2), false,
+       "evicted"},
+  };
+
+  nn::Model model =
+      train::BuildMlp(setup.config.model, setup.config.model_seed);
+  const ps::TensorPlan plan = ps::TensorPlan::FromParams(
+      model.Params(), setup.config.trainer.min_compress_elems);
+  auto codec = std::shared_ptr<const compress::Compressor>(
+      compress::MakeCompressor(setup.config.trainer.codec));
+  for (const JoinCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    ServerHarness h = MakeServer(setup, /*grace_ms=*/20000,
+                                 /*replay_steps=*/1);
+    std::string error;
+    if (c.resumed) {
+      ASSERT_TRUE(h.server->ResumeFromCheckpoint(ckpt, &error)) << error;
+    }
+    ASSERT_TRUE(h.server->Listen(&error)) << error;
+    bool server_ok = true;
+    std::thread server_thread([&] { server_ok = h.server->Run(); });
+
+    HandshakePayload payload;
+    payload.worker_id = 0;
+    payload.plan_hash = PlanHash(plan, codec->name());
+    payload.codec = codec->name();
+    payload.next_step = c.resumed ? 5 : 0;
+    std::unique_ptr<Connection> first;
+    if (c.prelude != Prelude::kNone) {
+      first = Dial(h.server->port());
+      Frame ack;
+      EXPECT_TRUE(first != nullptr &&
+                  SendHandshake(*first, payload, /*rejoin=*/false) &&
+                  first->WaitFrame(&ack, 5000) == Connection::IoResult::kOk &&
+                  ack.header.type == MsgType::kHelloAck);
+    }
+    std::unique_ptr<Connection> second;
+    Connection* probe = first.get();
+    if (c.prelude != Prelude::kHelloSameConn) {
+      second = Dial(h.server->port());
+      probe = second.get();
+    }
+    if (c.edit) c.edit(payload);
+    std::string reply;
+    if (probe != nullptr && SendHandshake(*probe, payload, c.rejoin)) {
+      reply = AwaitErrorFrame(*probe);
+    }
+    h.server->RequestStop("probe answered");
+    server_thread.join();
+
+    EXPECT_FALSE(server_ok);
+    if (c.fails_run) {
+      EXPECT_NE(h.server->error().find(c.want), std::string::npos)
+          << h.server->error();
+    } else {
+      EXPECT_EQ(h.server->error().rfind("stop requested", 0), 0u)
+          << "the run died: " << h.server->error();
+      EXPECT_NE(reply.find(c.want), std::string::npos) << reply;
+    }
+  }
+  std::remove(generation.c_str());
+}
+
+// A worker blocked on a slow peer waits in heartbeat-cadence slices; a
+// slice ending is the lease clock ticking, not a timeout. rpc/timeouts
+// counts only waits whose own deadline ended, so the punctual worker of a
+// run with one slow pusher records none.
+TEST(FaultTolerance, LeaseSlicedWaitsAreNotCountedAsTimeouts) {
+  TestSetup setup =
+      MakeTestSetup(2, /*steps=*/3, compress::CodecConfig::Float32());
+  ServerChaos server_chaos;
+  server_chaos.lease_ms = 10000;
+  server_chaos.heartbeat_ms = 50;
+  ServerHarness h = MakeServer(setup, /*grace_ms=*/0, /*replay_steps=*/8,
+                               /*fault=*/nullptr, server_chaos);
+  std::string error;
+  ASSERT_TRUE(h.server->Listen(&error)) << error;
+  bool server_ok = false;
+  std::thread server_thread([&] { server_ok = h.server->Run(); });
+
+  FaultInjector slow(/*seed=*/11);
+  std::string spec_error;
+  ASSERT_TRUE(slow.AddRulesFromSpec("delay100:push@any#*", &spec_error))
+      << spec_error;
+  obs::Telemetry punctual_tel{obs::TelemetryOptions{}};
+  punctual_tel.metrics().set_enabled(true);
+  WorkerResult results[2];
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 2; ++w) {
+    workers.emplace_back([&, w] {
+      WorkerChaos chaos;
+      chaos.lease_ms = 10000;
+      chaos.heartbeat_ms = 50;
+      if (w == 0) chaos.telemetry = &punctual_tel;
+      if (w == 1) chaos.fault = &slow;
+      results[w] = RunOneWorker(setup, w, h.server->port(), chaos);
+    });
+  }
+  for (auto& t : workers) t.join();
+  server_thread.join();
+
+  ASSERT_TRUE(server_ok) << h.server->error();
+  for (int w = 0; w < 2; ++w) {
+    EXPECT_TRUE(results[w].ok) << "worker " << w << ": " << results[w].error;
+  }
+  obs::MetricsRegistry& metrics = punctual_tel.metrics();
+  EXPECT_GT(metrics.counter("rpc/heartbeats_sent")->value(), 0.0);
+  EXPECT_EQ(metrics.counter("rpc/timeouts")->value(), 0.0);
+}
+
 // RequestStop from another thread (the process supervisor's path when a
 // child dies unrecoverably) fails the run promptly with the given reason.
 TEST(FaultTolerance, RequestStopFailsRunWithReason) {
@@ -560,11 +797,14 @@ TEST(FaultTolerance, RequestStopFailsRunWithReason) {
 // from that checkpoint on the same port, and require the final global
 // model to be bitwise identical to a fault-free in-process run. Both
 // workers must survive the outage via their reconnect budget and REJOIN
-// against the bumped incarnation epoch.
+// against the bumped incarnation epoch. A non-empty `kill_rule` (a
+// killserver fault spec) crashes the first incarnation instead; the
+// resumed one carries no rule.
 void ExpectServerKillResumeParity(const compress::CodecConfig& codec,
                                   std::int64_t kill_step,
-                                  const std::string& block_codec = "store") {
-  SCOPED_TRACE("kill_step=" + std::to_string(kill_step));
+                                  const std::string& block_codec = "store",
+                                  const std::string& kill_rule = "") {
+  SCOPED_TRACE("kill_step=" + std::to_string(kill_step) + " " + kill_rule);
   constexpr int kWorkers = 2;
   TestSetup setup = MakeTestSetup(kWorkers, /*steps=*/6, codec);
   setup.block_codec = block_codec;
@@ -575,10 +815,17 @@ void ExpectServerKillResumeParity(const compress::CodecConfig& codec,
   ServerChaos crashy;
   crashy.checkpoint_path = ckpt;
   crashy.checkpoint_every = 1;
-  crashy.exit_after_step = kill_step;
+  FaultInjector killer(/*seed=*/5);
+  if (kill_rule.empty()) {
+    crashy.exit_after_step = kill_step;
+  } else {
+    std::string spec_error;
+    ASSERT_TRUE(killer.AddRulesFromSpec(kill_rule, &spec_error))
+        << spec_error;
+  }
   ServerHarness h1 =
       MakeServer(setup, /*grace_ms=*/20000, /*replay_steps=*/8,
-                 /*fault=*/nullptr, crashy);
+                 kill_rule.empty() ? nullptr : &killer, crashy);
   std::string error;
   ASSERT_TRUE(h1.server->Listen(&error)) << error;
   const int port = h1.server->port();
@@ -626,6 +873,10 @@ void ExpectServerKillResumeParity(const compress::CodecConfig& codec,
     EXPECT_TRUE(results[w].ok) << "worker " << w << ": " << results[w].error;
     EXPECT_GE(results[w].reconnects, 1u) << "worker " << w;
   }
+  if (!kill_rule.empty()) {
+    // No worker applied step kill_step: both are replayed it from the ring.
+    EXPECT_EQ(h2.server->replayed_frames(), kWorkers * h2.plan->size());
+  }
 
   std::unique_ptr<nn::Model> reference = RunInProcessReference(setup);
   EXPECT_TRUE(ModelsBitwiseEqual(*h2.model, *reference))
@@ -652,6 +903,26 @@ TEST(FaultTolerance, KillServerResumeBitwiseParity3lc) {
 TEST(FaultTolerance, KillServerResumeBitwiseParity3lcWithBlockCodec) {
   ExpectServerKillResumeParity(compress::CodecConfig::ThreeLC(1.0f),
                                /*kill_step=*/2, "lz+rans");
+}
+
+// killserver:pull@K crashes the server on step K's first PULL frame: after
+// the step's write-ahead checkpoint, before any fan-out byte — the window
+// where a generation fallback on resume is bitwise-safe.
+TEST(FaultTolerance, KillServerAtCheckpointResumeBitwiseParity) {
+  for (const std::int64_t kill_step : {0, 3}) {
+    ExpectServerKillResumeParity(compress::CodecConfig::ThreeLC(1.0f),
+                                 kill_step, "store",
+                                 "killserver:pull@" +
+                                     std::to_string(kill_step));
+  }
+}
+
+// One frame later: worker 0 already holds part of step K's pulls when the
+// server dies, and deferred apply keeps it from half-applying the step.
+TEST(FaultTolerance, KillServerMidFanOutResumeBitwiseParity) {
+  ExpectServerKillResumeParity(compress::CodecConfig::ThreeLC(1.0f),
+                               /*kill_step=*/3, "store",
+                               "killserver:pull@3#1");
 }
 
 // Worst case: the server crashes at the same step a worker does, so the
@@ -850,6 +1121,127 @@ TEST(FaultTolerance, TornServerCheckpointFallsBackOrIsRejected) {
   EXPECT_EQ(fresh.server->epoch(), 2u);
   std::remove(gen0.c_str());
   std::remove(gen1.c_str());
+}
+
+// ---------- graceful stop ----------
+
+// A worker whose stop_flag flips mid-run returns interrupted with its
+// resume checkpoint at checkpoint_path; restarted from it with rejoin=true
+// inside the grace window, it finishes the run bitwise identical to a
+// fault-free one. Its pushes are slowed so the flag lands before its
+// last step.
+TEST(FaultTolerance, WorkerGracefulStopResumesWithParity) {
+  constexpr int kWorkers = 2;
+  TestSetup setup = MakeTestSetup(kWorkers, /*steps=*/12,
+                                  compress::CodecConfig::ThreeLC(1.0f));
+  const std::string ckpt = ::testing::TempDir() + "/ft_worker_stop.ckpt";
+  ServerHarness h = MakeServer(setup, /*grace_ms=*/20000,
+                               /*replay_steps=*/12);
+  std::string error;
+  ASSERT_TRUE(h.server->Listen(&error)) << error;
+  bool server_ok = false;
+  std::thread server_thread([&] { server_ok = h.server->Run(); });
+
+  FaultInjector slow(/*seed=*/13);
+  std::string spec_error;
+  ASSERT_TRUE(slow.AddRulesFromSpec("delay50:push@any#*", &spec_error))
+      << spec_error;
+  std::atomic<bool> stop{false};
+  WorkerResult results[kWorkers];
+  WorkerResult life1;
+  std::thread survivor([&] {
+    results[0] = RunOneWorker(setup, 0, h.server->port(), WorkerChaos{});
+  });
+  std::thread stopped([&] {
+    WorkerChaos first;
+    first.checkpoint_path = ckpt;
+    first.stop_flag = &stop;
+    first.fault = &slow;
+    life1 = RunOneWorker(setup, 1, h.server->port(), first);
+    WorkerChaos second;
+    second.rejoin = true;
+    second.checkpoint_path = ckpt;
+    results[1] = RunOneWorker(setup, 1, h.server->port(), second);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  stop.store(true);
+  survivor.join();
+  stopped.join();
+  server_thread.join();
+
+  EXPECT_FALSE(life1.ok);
+  EXPECT_TRUE(life1.interrupted) << life1.error;
+  ASSERT_TRUE(server_ok) << h.server->error();
+  for (int w = 0; w < kWorkers; ++w) {
+    EXPECT_TRUE(results[w].ok) << "worker " << w << ": " << results[w].error;
+  }
+  EXPECT_EQ(h.server->rejoins(), 1u);
+  EXPECT_EQ(h.server->evictions(), 0u);
+  std::unique_ptr<nn::Model> reference = RunInProcessReference(setup);
+  EXPECT_TRUE(ModelsBitwiseEqual(*h.model, *reference))
+      << "model diverged after a graceful stop + rejoin";
+  std::remove(ckpt.c_str());
+}
+
+// A server whose stop_flag flips mid-run returns interrupted after forcing
+// a checkpoint generation at the step it was collecting, and that
+// generation restores a fresh server. The cadence is set past the run so
+// only the start-of-run and forced generations exist.
+TEST(FaultTolerance, ServerGracefulStopForcesLoadableCheckpoint) {
+  TestSetup setup =
+      MakeTestSetup(2, /*steps=*/12, compress::CodecConfig::Float32());
+  const std::string ckpt = ::testing::TempDir() + "/ft_server_stop.sckpt";
+  nn::CheckpointManager::Options options;
+  options.path = ckpt;
+  auto remove_generations = [&] {
+    for (std::uint64_t g = 0; g < 4; ++g) {
+      std::remove(nn::CheckpointManager(options).GenerationPath(g).c_str());
+    }
+  };
+  remove_generations();
+  std::atomic<bool> stop{false};
+  ServerChaos chaos;
+  chaos.checkpoint_path = ckpt;
+  chaos.checkpoint_every = 1000;
+  chaos.stop_flag = &stop;
+  ServerHarness h = MakeServer(setup, /*grace_ms=*/0, /*replay_steps=*/8,
+                               /*fault=*/nullptr, chaos);
+  std::string error;
+  ASSERT_TRUE(h.server->Listen(&error)) << error;
+  bool server_ok = true;
+  std::thread server_thread([&] { server_ok = h.server->Run(); });
+
+  FaultInjector slow(/*seed=*/17);
+  std::string spec_error;
+  ASSERT_TRUE(slow.AddRulesFromSpec("delay50:push@any#*", &spec_error))
+      << spec_error;
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 2; ++w) {
+    workers.emplace_back([&, w] {
+      WorkerChaos worker_chaos;
+      if (w == 1) worker_chaos.fault = &slow;
+      RunOneWorker(setup, w, h.server->port(), worker_chaos);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  stop.store(true);
+  for (auto& t : workers) t.join();
+  server_thread.join();
+
+  EXPECT_FALSE(server_ok);
+  EXPECT_TRUE(h.server->interrupted()) << h.server->error();
+  const std::int64_t stopped_at = h.server->steps_completed();
+  EXPECT_LT(stopped_at, setup.config.trainer.total_steps);
+
+  ServerHarness fresh = MakeServer(setup, /*grace_ms=*/20000,
+                                   /*replay_steps=*/8);
+  nn::CheckpointManager manager(options);
+  nn::ServerState state;
+  ASSERT_TRUE(manager.Load(*fresh.model, &state, &error)) << error;
+  EXPECT_EQ(manager.loaded_path(), manager.GenerationPath(1));
+  EXPECT_EQ(state.next_step, static_cast<std::uint64_t>(stopped_at));
+  EXPECT_TRUE(fresh.server->ResumeFromCheckpoint(ckpt, &error)) << error;
+  remove_generations();
 }
 
 // ---------- liveness: leases, hangs, one-way partitions ----------

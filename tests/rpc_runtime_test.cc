@@ -8,6 +8,7 @@
 
 #include <sys/socket.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -500,6 +501,110 @@ TEST(RpcRuntime, PlanHashMismatchRejectedAtHandshake) {
   EXPECT_FALSE(server_ok);
   EXPECT_NE(server.error().find("plan"), std::string::npos)
       << server.error();
+}
+
+// Every payload is validated to its last byte: a STEP_STATS frame with
+// bytes after its loss is a protocol fault, like a PUSH or BYE with them.
+TEST(RpcRuntime, StepStatsWithTrailingBytesFailsServer) {
+  TestSetup setup = MakeTestSetup(1, 1, compress::CodecConfig::Float32());
+  nn::Model model =
+      train::BuildMlp(setup.config.model, setup.config.model_seed);
+  const ps::TensorPlan plan = ps::TensorPlan::FromParams(
+      model.Params(), setup.config.trainer.min_compress_elems);
+  auto codec = std::shared_ptr<const compress::Compressor>(
+      compress::MakeCompressor(setup.config.trainer.codec));
+  ps::ParameterServer ps(model, plan, codec, setup.config.trainer.optimizer);
+
+  RpcServerConfig sc;
+  sc.num_workers = 1;
+  sc.total_steps = 1;
+  sc.handshake_timeout_ms = 5000;
+  RpcServer server(sc, ps, codec->name());
+  std::string error;
+  ASSERT_TRUE(server.Listen(&error)) << error;
+  bool server_ok = true;
+  std::thread server_thread([&] { server_ok = server.Run(); });
+
+  RetryOptions retry;
+  std::string connect_error;
+  const int fd = ConnectWithRetry("127.0.0.1", server.port(), retry, nullptr,
+                                  &connect_error);
+  ASSERT_GE(fd, 0) << connect_error;
+  Connection rogue(fd);
+  HandshakePayload payload;
+  payload.worker_id = 0;
+  payload.plan_hash = PlanHash(plan, codec->name());
+  payload.codec = codec->name();
+  util::ByteBuffer hello;
+  EncodeHandshake(payload, /*rejoin=*/false, hello);
+  ASSERT_TRUE(rogue.SendFrame(MsgType::kHello, 0, 0, hello.span()));
+  util::ByteBuffer stats;
+  stats.AppendF32(1.0f);
+  stats.AppendU8(0);  // one byte past the loss
+  ASSERT_TRUE(rogue.SendFrame(MsgType::kStepStats, 0, 0, stats.span()));
+  ASSERT_EQ(rogue.FlushOutput(2000), Connection::IoResult::kOk);
+
+  Frame reply;
+  while (rogue.WaitFrame(&reply, 3000) == Connection::IoResult::kOk &&
+         reply.header.type != MsgType::kError) {
+  }
+  server.RequestStop("no verdict on the STEP_STATS frame");
+  server_thread.join();
+  EXPECT_FALSE(server_ok);
+  EXPECT_NE(server.error().find("malformed STEP_STATS"), std::string::npos)
+      << server.error();
+}
+
+// The worker validates the frames it only logs, too: a short or padded
+// EVICT payload fails the worker instead of being skipped.
+TEST(RpcRuntime, MalformedEvictFailsWorker) {
+  TestSetup setup = MakeTestSetup(1, 1, compress::CodecConfig::Float32());
+  nn::Model model =
+      train::BuildMlp(setup.config.model, setup.config.model_seed);
+  const ps::TensorPlan plan = ps::TensorPlan::FromParams(
+      model.Params(), setup.config.trainer.min_compress_elems);
+  auto codec = std::shared_ptr<const compress::Compressor>(
+      compress::MakeCompressor(setup.config.trainer.codec));
+
+  for (const std::size_t evict_bytes : {2u, 5u}) {
+    SCOPED_TRACE("EVICT payload bytes " + std::to_string(evict_bytes));
+    // A scripted server: acknowledge the HELLO, answer the step's
+    // STEP_STATS with the malformed EVICT, then an ERROR frame.
+    TcpServer fake;
+    std::string error;
+    ASSERT_TRUE(fake.Listen("127.0.0.1", 0, &error)) << error;
+    fake.on_frame = [&](Connection& conn, Frame&& frame) {
+      if (frame.header.type == MsgType::kHello) {
+        HandshakeAckPayload ack;
+        ack.num_workers = 1;
+        ack.total_steps = 1;
+        ack.plan_hash = PlanHash(plan, codec->name());
+        ack.epoch = 1;
+        util::ByteBuffer bytes;
+        EncodeHandshakeAck(ack, /*rejoin=*/false, bytes);
+        conn.SendFrame(MsgType::kHelloAck, 0, 0, bytes.span());
+      } else if (frame.header.type == MsgType::kStepStats) {
+        const std::vector<std::uint8_t> evict(evict_bytes, 0);
+        conn.SendFrame(MsgType::kEvict, 0, 0,
+                       util::ByteSpan(evict.data(), evict.size()));
+        const std::string done = "scripted server done";
+        conn.SendFrame(MsgType::kError, 0, 0,
+                       util::ByteSpan(reinterpret_cast<const std::uint8_t*>(
+                                          done.data()),
+                                      done.size()));
+      }
+    };
+    std::atomic<bool> worker_done{false};
+    std::thread server_thread([&] {
+      while (!worker_done.load()) fake.Poll(20);
+    });
+    std::string worker_error;
+    EXPECT_FALSE(RunOneWorker(setup, 0, fake.port(), &worker_error));
+    worker_done.store(true);
+    server_thread.join();
+    EXPECT_NE(worker_error.find("malformed EVICT"), std::string::npos)
+        << worker_error;
+  }
 }
 
 // Worker side: a dead port exhausts its bounded retries and reports the
