@@ -3,11 +3,11 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
+
+#include "util/fault_rules.h"
 
 namespace threelc::nn {
 
@@ -23,14 +23,6 @@ std::string DirOf(const std::string& path) {
 std::string BaseOf(const std::string& path) {
   const std::size_t slash = path.rfind('/');
   return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-bool AllDigits(const std::string& s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  return true;
 }
 
 bool FileExists(const std::string& path) {
@@ -59,10 +51,10 @@ int CheckpointManager::ScanAndSweep() {
   if (fs_.List(dir, &names)) {
     for (const std::string& name : names) {
       if (name.rfind(prefix, 0) != 0) continue;
-      const std::string digits = name.substr(prefix.size());
-      if (!AllDigits(digits)) continue;  // e.g. a ".g3.tmp.<pid>" sibling
-      generations_.push_back(
-          static_cast<std::uint64_t>(std::strtoull(digits.c_str(), nullptr, 10)));
+      std::uint64_t gen = 0;
+      // Skips e.g. a ".g3.tmp.<pid>" sibling.
+      if (!util::ParseDecimal(name.substr(prefix.size()), &gen)) continue;
+      generations_.push_back(gen);
     }
   }
   std::sort(generations_.begin(), generations_.end());

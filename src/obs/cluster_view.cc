@@ -7,6 +7,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/json.h"
+#include "obs/prometheus.h"
 #include "obs/stage_profiler.h"
 
 namespace threelc::obs {
@@ -361,12 +362,7 @@ void ClusterView::WritePrometheus(std::ostream& out,
   // worker was evicted — that is exactly when a scrape wants them.
   if (workers_.empty() && lease_expiries_by_worker_.empty()) return;
   std::string text;
-  char buf[64];
   const std::string base = prefix + "cluster_";
-  auto fmt = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return std::string(buf);
-  };
 
   text += "# HELP " + base + "workers Workers currently tracked\n";
   text += "# TYPE " + base + "workers gauge\n";
@@ -422,7 +418,7 @@ void ClusterView::WritePrometheus(std::ostream& out,
   text += "# TYPE " + base + "worker_ea_l2 gauge\n";
   for (const auto& [id, w] : workers_) {
     text += base + "worker_ea_l2{worker=\"" + std::to_string(id) + "\"} " +
-            fmt(w.ea_l2) + "\n";
+            FormatSampleValue(w.ea_l2) + "\n";
   }
 
   text += "# HELP " + base +
@@ -464,7 +460,7 @@ void ClusterView::WritePrometheus(std::ostream& out,
           {"0.99", StageQuantileNs(h.hist, kHistogramBuckets, h.count, 0.99)}};
       for (const auto& q : quantiles) {
         text += base + "phase_ns" + labels + ",quantile=\"" + q.q + "\"} " +
-                fmt(q.v) + "\n";
+                FormatSampleValue(q.v) + "\n";
       }
       text += base + "phase_ns_sum" + labels + "} " +
               std::to_string(h.total_ns) + "\n";
@@ -482,7 +478,8 @@ void ClusterView::WritePrometheus(std::ostream& out,
     for (const auto& [id, when] : last_seen_) {
       text += base + "worker_heartbeat_age_ms{worker=\"" +
               std::to_string(id) + "\"} " +
-              fmt(std::chrono::duration<double, std::milli>(now - when)
+              FormatSampleValue(
+                  std::chrono::duration<double, std::milli>(now - when)
                       .count()) +
               "\n";
     }

@@ -1,7 +1,7 @@
 #include "obs/prometheus.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 
 #include "obs/metrics.h"
@@ -18,19 +18,6 @@ bool IsNameChar(char c, bool first) {
   return !first && c >= '0' && c <= '9';
 }
 
-// Prometheus sample values allow NaN and signed infinity as literals.
-void AppendSampleValue(std::string& out, double v) {
-  if (std::isnan(v)) {
-    out += "NaN";
-  } else if (std::isinf(v)) {
-    out += v > 0 ? "+Inf" : "-Inf";
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    out += buf;
-  }
-}
-
 void AppendHeader(std::string& out, const std::string& name,
                   const char* type, const std::string& help) {
   out += "# HELP " + name + " " + help + "\n";
@@ -40,21 +27,24 @@ void AppendHeader(std::string& out, const std::string& name,
 }
 
 void AppendSample(std::string& out, const std::string& name, double v) {
-  out += name + " ";
-  AppendSampleValue(out, v);
-  out += "\n";
+  out += name + " " + FormatSampleValue(v) + "\n";
 }
 
 void AppendQuantileSample(std::string& out, const std::string& name,
                           const char* quantile, double v) {
   out += name + "{quantile=\"";
   out += quantile;
-  out += "\"} ";
-  AppendSampleValue(out, v);
-  out += "\n";
+  out += "\"} " + FormatSampleValue(v) + "\n";
 }
 
 }  // namespace
+
+std::string FormatSampleValue(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
 
 bool IsValidMetricName(const std::string& name) {
   if (name.empty()) return false;

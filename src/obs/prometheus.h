@@ -33,6 +33,11 @@ bool IsValidMetricName(const std::string& name);
 // and newline are escaped.
 std::string EscapeLabelValue(const std::string& value);
 
+// One sample value in the exposition format: the shortest text that
+// parses back to exactly `v`, or the literals NaN, +Inf and -Inf. Every
+// exporter (registry, stage profiler, cluster view) prints through it.
+std::string FormatSampleValue(double v);
+
 // Write the full registry in Prometheus text exposition format. `prefix`
 // is prepended to every (sanitized) metric name.
 void WritePrometheus(const MetricsRegistry& registry, std::ostream& out,

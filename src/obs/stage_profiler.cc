@@ -144,10 +144,8 @@ void StageProfiler::WritePrometheus(std::ostream& out,
     text += "# HELP " + base + "_seconds_total Total time in stage " +
             s.path + "\n";
     text += "# TYPE " + base + "_seconds_total counter\n";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g",
-                  static_cast<double>(s.total_ns) * 1e-9);
-    text += base + "_seconds_total " + buf + "\n";
+    text += base + "_seconds_total " +
+            FormatSampleValue(static_cast<double>(s.total_ns) * 1e-9) + "\n";
     text += "# HELP " + base + "_count_total Entries into stage " + s.path +
             "\n";
     text += "# TYPE " + base + "_count_total counter\n";
@@ -159,8 +157,8 @@ void StageProfiler::WritePrometheus(std::ostream& out,
       double v;
     } quantiles[] = {{"0.5", s.p50_ns}, {"0.9", s.p90_ns}, {"0.99", s.p99_ns}};
     for (const auto& q : quantiles) {
-      std::snprintf(buf, sizeof(buf), "%.9g", q.v);
-      text += base + "_ns{quantile=\"" + q.q + "\"} " + buf + "\n";
+      text += base + "_ns{quantile=\"" + q.q + "\"} " +
+              FormatSampleValue(q.v) + "\n";
     }
     text += base + "_ns_sum " + std::to_string(s.total_ns) + "\n";
     text += base + "_ns_count " + std::to_string(s.count) + "\n";

@@ -1,221 +1,90 @@
 #include "rpc/fault.h"
 
-#include <cctype>
-#include <cstdlib>
 #include <sstream>
 
 namespace threelc::rpc {
 
 namespace {
 
-bool ParseTypeToken(const std::string& token, FaultRule* rule) {
-  if (token == "any") {
-    rule->any_type = true;
-    return true;
-  }
-  rule->any_type = false;
-  if (token == "hello") rule->type = MsgType::kHello;
-  else if (token == "hello_ack") rule->type = MsgType::kHelloAck;
-  else if (token == "push") rule->type = MsgType::kPush;
-  else if (token == "stats") rule->type = MsgType::kStepStats;
-  else if (token == "pull") rule->type = MsgType::kPull;
-  else if (token == "bye") rule->type = MsgType::kBye;
-  else if (token == "rejoin") rule->type = MsgType::kRejoin;
-  else if (token == "evict") rule->type = MsgType::kEvict;
-  else if (token == "heartbeat") rule->type = MsgType::kHeartbeat;
-  else return false;
-  return true;
+template <typename Enum>
+constexpr int Code(Enum value) {
+  return static_cast<int>(value);
 }
 
-// kPartition rules carry a direction where other rules carry a frame
-// type: a partition cuts the connection's whole direction, so the rule
-// matches any frame and the TYPE slot is reused for rx|tx|both.
-bool ParseDirectionToken(const std::string& token, FaultRule* rule) {
-  rule->any_type = true;
-  if (token == "rx") rule->direction = PartitionDirection::kRx;
-  else if (token == "tx") rule->direction = PartitionDirection::kTx;
-  else if (token == "both") rule->direction = PartitionDirection::kBoth;
-  else return false;
-  return true;
-}
+constexpr util::FaultToken kDirections[] = {
+    {"rx", Code(PartitionDirection::kRx)},
+    {"tx", Code(PartitionDirection::kTx)},
+    {"both", Code(PartitionDirection::kBoth)},
+};
 
-bool ParseActionToken(const std::string& token, FaultRule* rule) {
-  if (token == "drop") {
-    rule->action = FaultAction::kDrop;
-  } else if (token == "corrupt") {
-    rule->action = FaultAction::kCorrupt;
-  } else if (token == "trunc") {
-    rule->action = FaultAction::kTruncate;
-  } else if (token == "close") {
-    rule->action = FaultAction::kClose;
-  } else if (token == "killserver") {
-    rule->action = FaultAction::kKillServer;
-  } else if (token == "stall") {
-    rule->action = FaultAction::kStall;
-  } else if (token == "partition") {
-    rule->action = FaultAction::kPartition;
-  } else if (token.rfind("delay", 0) == 0 && token.size() > 5) {
-    const std::string digits = token.substr(5);
-    for (char c : digits) {
-      if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-    }
-    rule->action = FaultAction::kDelay;
-    rule->delay_ms = std::atoi(digits.c_str());
-  } else {
-    return false;
-  }
-  return true;
-}
+constexpr util::FaultActionToken kActions[] = {
+    {.name = "drop", .code = Code(FaultAction::kDrop)},
+    {.name = "corrupt", .code = Code(FaultAction::kCorrupt)},
+    {.name = "trunc", .code = Code(FaultAction::kTruncate)},
+    {.name = "close", .code = Code(FaultAction::kClose)},
+    {.name = "killserver", .code = Code(FaultAction::kKillServer),
+     .crashes = true},
+    {.name = "stall", .code = Code(FaultAction::kStall)},
+    // A partition cuts the connection's whole direction, so the rule
+    // matches any frame and the TYPE slot carries rx|tx|both.
+    {.name = "partition", .code = Code(FaultAction::kPartition),
+     .slot_params = kDirections,
+     .slot_params_noun = "partition direction (want rx|tx|both)"},
+    {.name = "delay", .code = Code(FaultAction::kDelay), .takes_number = true},
+};
 
-bool AllDigits(const std::string& s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  return true;
-}
+constexpr util::FaultToken kFrameTypes[] = {
+    {"hello", Code(MsgType::kHello)},
+    {"hello_ack", Code(MsgType::kHelloAck)},
+    {"push", Code(MsgType::kPush)},
+    {"stats", Code(MsgType::kStepStats)},
+    {"pull", Code(MsgType::kPull)},
+    {"bye", Code(MsgType::kBye)},
+    {"rejoin", Code(MsgType::kRejoin)},
+    {"evict", Code(MsgType::kEvict)},
+    {"heartbeat", Code(MsgType::kHeartbeat)},
+};
 
 }  // namespace
 
-const char* FaultActionName(FaultAction action) {
-  switch (action) {
-    case FaultAction::kNone: return "none";
-    case FaultAction::kDrop: return "drop";
-    case FaultAction::kDelay: return "delay";
-    case FaultAction::kCorrupt: return "corrupt";
-    case FaultAction::kTruncate: return "trunc";
-    case FaultAction::kClose: return "close";
-    case FaultAction::kKillServer: return "killserver";
-    case FaultAction::kStall: return "stall";
-    case FaultAction::kPartition: return "partition";
-  }
-  return "unknown";
-}
-
-const char* PartitionDirectionName(PartitionDirection direction) {
-  switch (direction) {
-    case PartitionDirection::kRx: return "rx";
-    case PartitionDirection::kTx: return "tx";
-    case PartitionDirection::kBoth: return "both";
-  }
-  return "unknown";
-}
-
-FaultInjector::FaultInjector(std::uint64_t seed) : rng_(seed) {}
-
-void FaultInjector::AddRule(const FaultRule& rule) {
-  RuleState state;
-  state.rule = rule;
-  rules_.push_back(state);
-}
-
-bool FaultInjector::ParseSpec(const std::string& spec,
-                              std::vector<FaultRule>* out, std::string* error) {
-  std::stringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ';')) {
-    if (item.empty()) continue;
-    FaultRule rule;
-
-    const std::size_t colon = item.find(':');
-    const std::size_t at = item.find('@');
-    if (colon == std::string::npos || at == std::string::npos || at < colon) {
-      if (error != nullptr) *error = "expected ACTION:TYPE@STEP in '" + item + "'";
-      return false;
-    }
-    if (!ParseActionToken(item.substr(0, colon), &rule)) {
-      if (error != nullptr) *error = "bad action in '" + item + "'";
-      return false;
-    }
-    const std::string type_token = item.substr(colon + 1, at - colon - 1);
-    if (rule.action == FaultAction::kPartition) {
-      if (!ParseDirectionToken(type_token, &rule)) {
-        if (error != nullptr) {
-          *error = "bad partition direction (want rx|tx|both) in '" + item +
-                   "'";
-        }
-        return false;
-      }
-    } else if (!ParseTypeToken(type_token, &rule)) {
-      if (error != nullptr) *error = "bad frame type in '" + item + "'";
-      return false;
-    }
-
-    std::string step_token = item.substr(at + 1);
-    const std::size_t hash = step_token.find('#');
-    if (hash != std::string::npos) {
-      const std::string occ = step_token.substr(hash + 1);
-      step_token = step_token.substr(0, hash);
-      if (occ == "*") {
-        rule.every_match = true;
-      } else if (AllDigits(occ)) {
-        rule.occurrence = std::atoi(occ.c_str());
-      } else {
-        if (error != nullptr) *error = "bad occurrence in '" + item + "'";
-        return false;
-      }
-    }
-    if (step_token == "any") {
-      rule.any_step = true;
-    } else if (AllDigits(step_token)) {
-      rule.any_step = false;
-      rule.step = static_cast<std::uint64_t>(std::atoll(step_token.c_str()));
-    } else {
-      if (error != nullptr) *error = "bad step in '" + item + "'";
-      return false;
-    }
-    out->push_back(rule);
-  }
-  return true;
-}
-
-bool FaultInjector::AddRulesFromSpec(const std::string& spec,
-                                     std::string* error) {
-  std::vector<FaultRule> rules;
-  if (!ParseSpec(spec, &rules, error)) return false;
-  for (const FaultRule& rule : rules) AddRule(rule);
-  return true;
-}
+constexpr util::FaultGrammar kFrameFaultGrammar = {
+    .form = "ACTION:TYPE@STEP",
+    .target_noun = "frame type",
+    .index_noun = "step",
+    .actions = kActions,
+    .targets = kFrameTypes,
+};
 
 FaultDecision FaultInjector::OnSend(MsgType type, std::uint64_t step,
                                     std::size_t frame_bytes) {
   FaultDecision decision;
-  for (RuleState& state : rules_) {
-    const FaultRule& rule = state.rule;
-    if (!rule.any_type && rule.type != type) continue;
-    if (!rule.any_step && rule.step != step) continue;
-    const int match_index = state.matches++;
-    if (!rule.every_match && (state.fired || match_index != rule.occurrence)) {
-      continue;
-    }
-    state.fired = true;
+  const util::FaultRule* rule = rules_.Match(Code(type), step);
+  if (rule == nullptr) return decision;
 
-    decision.action = rule.action;
-    decision.delay_ms = rule.delay_ms;
-    decision.direction = rule.direction;
-    if (rule.action == FaultAction::kKillServer) kill_requested_ = true;
-    if (rule.action == FaultAction::kCorrupt && frame_bytes > 0) {
-      decision.byte_offset =
-          static_cast<std::size_t>(rng_.Below(frame_bytes));
-    } else if (rule.action == FaultAction::kTruncate && frame_bytes > 1) {
-      // Keep at least one byte and never the whole frame.
-      decision.byte_offset =
-          1 + static_cast<std::size_t>(rng_.Below(frame_bytes - 1));
-    }
-
-    std::ostringstream line;
-    line << FaultActionName(rule.action) << ' ' << MsgTypeName(type)
-         << " step=" << step << " byte=" << decision.byte_offset;
-    if (rule.action == FaultAction::kDelay) {
-      line << " ms=" << decision.delay_ms;
-    }
-    if (rule.action == FaultAction::kPartition) {
-      line << " dir=" << PartitionDirectionName(rule.direction);
-    }
-    log_.push_back(line.str());
-    ++faults_;
-    break;
+  decision.action = static_cast<FaultAction>(rule->action->code);
+  if (decision.action == FaultAction::kDelay) decision.delay_ms = rule->param;
+  if (decision.action == FaultAction::kPartition) {
+    decision.direction = static_cast<PartitionDirection>(rule->param);
   }
+  if (decision.action == FaultAction::kCorrupt && frame_bytes > 0) {
+    decision.byte_offset =
+        static_cast<std::size_t>(rules_.rng().Below(frame_bytes));
+  } else if (decision.action == FaultAction::kTruncate && frame_bytes > 1) {
+    // Keep at least one byte and never the whole frame.
+    decision.byte_offset =
+        1 + static_cast<std::size_t>(rules_.rng().Below(frame_bytes - 1));
+  }
+
+  std::ostringstream line;
+  line << rule->action->name << ' ' << MsgTypeName(type) << " step=" << step
+       << " byte=" << decision.byte_offset;
+  if (decision.action == FaultAction::kDelay) {
+    line << " ms=" << decision.delay_ms;
+  }
+  if (decision.action == FaultAction::kPartition) {
+    line << " dir=" << util::FaultTokenName(kDirections, rule->param);
+  }
+  rules_.Log(line.str());
   return decision;
 }
 

@@ -3,25 +3,19 @@
 // A FaultInjector sits on a Connection's outbound path and decides, per
 // frame, whether to tamper with it: drop it, delay the enqueue, flip a
 // payload byte (the receiver's CRC check then kills the connection),
-// truncate the frame and close, or close the connection outright. Every
-// decision is a pure function of (seed, rule set, frame sequence) — no
-// wall clock, no global randomness — so a chaos run is replayable: the
-// same seed produces the identical fault schedule, byte for byte, which
-// the schedule log (one line per injected fault) makes checkable.
+// truncate the frame and close, close the connection outright, stall or
+// partition it, or crash the whole endpoint. Decisions are replayable
+// from the seed (util/fault_rules.h).
 //
-// Rules are matched in order; the first rule that matches a frame's
-// (type, step) and whose occurrence/probability gate passes fires. Rule
-// sets are built programmatically (AddRule) or parsed from a compact spec
-// string (one rule per ';'):
+// Rules use the spec grammar of util/fault_rules.h, with a frame's
+// (type, step) as the TARGET and INDEX (one rule per ';'):
 //
 //   ACTION:TYPE@STEP[#OCCURRENCE]
 //
-//   ACTION      drop | corrupt | trunc | close | killserver | stall
-//               | delay<ms>  (e.g. delay250)
-//   TYPE        hello | push | stats | pull | bye | rejoin | heartbeat | any
-//   STEP        a step number, or any
-//   OCCURRENCE  fire only on the Nth matching frame (0-based, default 0),
-//               or * to fire on every match
+//   ACTION  drop | corrupt | trunc | close | killserver | stall
+//           | delay<ms>  (e.g. delay250)
+//   TYPE    hello | hello_ack | push | stats | pull | bye | rejoin | evict
+//           | heartbeat | any
 //
 // plus the partition form, whose direction token rides in the TYPE slot
 // (a partition severs the whole connection's direction, not one frame
@@ -42,8 +36,7 @@
 // silently lost in the network while it still receives).
 //
 // One injector instance belongs to one endpoint (one worker process or the
-// server); sharing an instance across concurrently-sending endpoints would
-// make the occurrence counters race-order dependent and break replay.
+// server).
 #pragma once
 
 #include <cstdint>
@@ -51,7 +44,7 @@
 #include <vector>
 
 #include "rpc/frame.h"
-#include "util/rng.h"
+#include "util/fault_rules.h"
 
 namespace threelc::rpc {
 
@@ -63,8 +56,8 @@ enum class FaultAction : std::uint8_t {
   kTruncate,  // send only a frame prefix, then close
   kClose,     // close the connection instead of sending
   // Kill the whole sending endpoint, not just one connection: the frame is
-  // not sent and the injector latches kill_requested() for the
-  // endpoint's event loop to act on. On the
+  // not sent and the injector latches a crash request
+  // (TakeCrashRequest) for the endpoint's event loop to act on. On the
   // server this simulates a parameter-server crash at an exact,
   // deterministic point in the fan-out (RpcServer checks the latch and
   // dies abruptly — no ERROR broadcast, sockets dropped mid-step — so
@@ -88,22 +81,8 @@ enum class FaultAction : std::uint8_t {
 // from the injected endpoint's point of view).
 enum class PartitionDirection : std::uint8_t { kRx = 0, kTx, kBoth };
 
-const char* FaultActionName(FaultAction action);
-const char* PartitionDirectionName(PartitionDirection direction);
-
-struct FaultRule {
-  FaultAction action = FaultAction::kNone;
-  bool any_type = true;
-  MsgType type = MsgType::kError;  // matched when !any_type
-  bool any_step = true;
-  std::uint64_t step = 0;  // matched when !any_step
-  // Fire on the Nth (0-based) matching frame only; every_match fires on
-  // all of them (e.g. a persistent delay).
-  int occurrence = 0;
-  bool every_match = false;
-  int delay_ms = 0;  // kDelay only
-  PartitionDirection direction = PartitionDirection::kBoth;  // kPartition only
-};
+// The frame injector's token tables.
+extern const util::FaultGrammar kFrameFaultGrammar;
 
 // The injector's verdict for one outbound frame.
 struct FaultDecision {
@@ -117,17 +96,14 @@ struct FaultDecision {
 
 class FaultInjector {
  public:
-  explicit FaultInjector(std::uint64_t seed = 0);
+  explicit FaultInjector(std::uint64_t seed = 0)
+      : rules_(kFrameFaultGrammar, seed) {}
 
-  void AddRule(const FaultRule& rule);
-  std::size_t rule_count() const { return rules_.size(); }
-
-  // Parse a spec string (see file comment) into rules. Returns false with
-  // *error set on malformed input; on success appends to *out.
-  static bool ParseSpec(const std::string& spec, std::vector<FaultRule>* out,
-                        std::string* error);
-  // ParseSpec + AddRule for every parsed rule.
-  bool AddRulesFromSpec(const std::string& spec, std::string* error);
+  // Append the rules of a spec (see file comment). Returns false with
+  // *error set on malformed input, adding none of them.
+  bool AddRulesFromSpec(const std::string& spec, std::string* error) {
+    return rules_.AddFromSpec(spec, error);
+  }
 
   // Decide the fate of one outbound frame (frame_bytes = full wire size
   // including header). Deterministic for a fixed (seed, rules, sequence of
@@ -136,29 +112,21 @@ class FaultInjector {
                        std::size_t frame_bytes);
 
   // Faults actually injected (decisions other than kNone).
-  std::size_t faults_injected() const { return faults_; }
+  std::size_t faults_injected() const { return rules_.faults_injected(); }
 
-  // Latched by the first kKillServer decision; the owning endpoint's event
-  // loop reads it (after any send) to die at the injected point.
-  bool kill_requested() const { return kill_requested_; }
+  // Check-and-clear, true once after a kKillServer decision: the owning
+  // endpoint's event loop reads it (after any send) to die at the
+  // injected point.
+  bool TakeCrashRequest() { return rules_.TakeCrashRequest(); }
 
-  // One line per injected fault: "<action> <TYPE> step=<s> byte=<o>".
-  // Two runs with the same seed and traffic produce identical logs — the
-  // replayability contract the chaos tests assert.
-  const std::vector<std::string>& schedule_log() const { return log_; }
+  // One line per injected fault: "<action> <TYPE> step=<s> byte=<o>",
+  // plus " ms=<d>" for delays and " dir=<d>" for partitions.
+  const std::vector<std::string>& schedule_log() const {
+    return rules_.schedule_log();
+  }
 
  private:
-  struct RuleState {
-    FaultRule rule;
-    int matches = 0;  // frames that matched (type, step)
-    bool fired = false;
-  };
-
-  std::vector<RuleState> rules_;
-  util::Rng rng_;
-  std::vector<std::string> log_;
-  std::size_t faults_ = 0;
-  bool kill_requested_ = false;
+  util::FaultRules rules_;
 };
 
 }  // namespace threelc::rpc

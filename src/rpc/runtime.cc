@@ -1049,7 +1049,8 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
         // A killserver rule on the step's first PULL frame fires between
         // the write-ahead checkpoint and any fan-out byte — the window
         // where a generation fallback on resume is bitwise-safe.
-        if (config_.fault != nullptr && config_.fault->kill_requested()) {
+        if (config_.fault != nullptr &&
+            config_.fault->TakeCrashRequest()) {
           SimulatedCrash("injected server kill fanning out step " +
                          std::to_string(step) + " pulls");
           return false;
@@ -1563,7 +1564,7 @@ bool RpcServer::Run() {
       return false;
     }
     ++steps_completed_;
-    if (config_.fault != nullptr && config_.fault->kill_requested()) {
+    if (config_.fault != nullptr && config_.fault->TakeCrashRequest()) {
       SimulatedCrash("injected server kill after step " +
                      std::to_string(step));
       return false;

@@ -306,7 +306,7 @@ bool Connection::SendEncoded(util::ByteSpan frame_bytes,
         return false;
       case FaultAction::kKillServer:
         // The endpoint-level crash is the owner's job (the injector has
-        // latched kill_requested()); here the frame just is not sent. The
+        // latched a crash request); here the frame just is not sent. The
         // socket stays open until the owner drops every socket, listener
         // first, so no peer can reconnect to the dying endpoint.
         last_error_ = "injected fault: endpoint killed";

@@ -5,10 +5,8 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 namespace threelc::util {
@@ -45,53 +43,29 @@ class RealFs : public Fs {
   }
 };
 
-bool AllDigits(const std::string& s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  return true;
+template <typename Enum>
+constexpr int Code(Enum value) {
+  return static_cast<int>(value);
 }
 
-bool ParseFsActionToken(const std::string& token, FsFaultRule* rule) {
-  if (token == "enospc") rule->action = FsFaultAction::kEnospc;
-  else if (token == "eio") rule->action = FsFaultAction::kEio;
-  else if (token == "short") rule->action = FsFaultAction::kShort;
-  else if (token == "fsyncfail") rule->action = FsFaultAction::kFsyncFail;
-  else if (token == "torn") rule->action = FsFaultAction::kTorn;
-  else return false;
-  return true;
-}
+constexpr FaultToken kOps[] = {
+    {"open", Code(FsOp::kOpen)},     {"write", Code(FsOp::kWrite)},
+    {"fsync", Code(FsOp::kFsync)},   {"rename", Code(FsOp::kRename)},
+    {"unlink", Code(FsOp::kUnlink)},
+};
 
-bool ParseFsOpToken(const std::string& token, FsFaultRule* rule) {
-  if (token == "any") {
-    rule->any_op = true;
-    return true;
-  }
-  rule->any_op = false;
-  if (token == "open") rule->op = FsOp::kOpen;
-  else if (token == "write") rule->op = FsOp::kWrite;
-  else if (token == "fsync") rule->op = FsOp::kFsync;
-  else if (token == "rename") rule->op = FsOp::kRename;
-  else if (token == "unlink") rule->op = FsOp::kUnlink;
-  else return false;
-  return true;
-}
-
-// short/fsyncfail/torn only make sense against one operation; catching
-// the mismatch at parse time turns a silent no-op drill into a spec error.
-bool ActionFitsOp(const FsFaultRule& rule) {
-  switch (rule.action) {
-    case FsFaultAction::kShort:
-      return !rule.any_op && rule.op == FsOp::kWrite;
-    case FsFaultAction::kFsyncFail:
-      return !rule.any_op && rule.op == FsOp::kFsync;
-    case FsFaultAction::kTorn:
-      return !rule.any_op && rule.op == FsOp::kRename;
-    default:
-      return true;
-  }
-}
+// short/fsyncfail/torn only make sense against one operation; pinning
+// them turns a silent no-op drill into a spec error.
+constexpr FaultActionToken kActions[] = {
+    {.name = "enospc", .code = Code(FsFaultAction::kEnospc)},
+    {.name = "eio", .code = Code(FsFaultAction::kEio)},
+    {.name = "short", .code = Code(FsFaultAction::kShort),
+     .pinned_target = Code(FsOp::kWrite)},
+    {.name = "fsyncfail", .code = Code(FsFaultAction::kFsyncFail),
+     .pinned_target = Code(FsOp::kFsync)},
+    {.name = "torn", .code = Code(FsFaultAction::kTorn), .crashes = true,
+     .pinned_target = Code(FsOp::kRename)},
+};
 
 }  // namespace
 
@@ -100,124 +74,29 @@ Fs* Fs::Real() {
   return &real;
 }
 
-const char* FsFaultActionName(FsFaultAction action) {
-  switch (action) {
-    case FsFaultAction::kNone: return "none";
-    case FsFaultAction::kEnospc: return "enospc";
-    case FsFaultAction::kEio: return "eio";
-    case FsFaultAction::kShort: return "short";
-    case FsFaultAction::kFsyncFail: return "fsyncfail";
-    case FsFaultAction::kTorn: return "torn";
-  }
-  return "unknown";
-}
-
-const char* FsOpName(FsOp op) {
-  switch (op) {
-    case FsOp::kOpen: return "open";
-    case FsOp::kWrite: return "write";
-    case FsOp::kFsync: return "fsync";
-    case FsOp::kRename: return "rename";
-    case FsOp::kUnlink: return "unlink";
-  }
-  return "unknown";
-}
+constexpr FaultGrammar kFsFaultGrammar = {
+    .form = "ACTION:OP@CALL",
+    .target_noun = "fs op",
+    .index_noun = "call index",
+    .pinned_error =
+        "requires its own op (short:write, fsyncfail:fsync, torn:rename)",
+    .actions = kActions,
+    .targets = kOps,
+};
 
 FaultFs::FaultFs(Fs* base, std::uint64_t seed)
-    : base_(base != nullptr ? base : Fs::Real()), rng_(seed) {}
-
-void FaultFs::AddRule(const FsFaultRule& rule) {
-  RuleState state;
-  state.rule = rule;
-  rules_.push_back(state);
-}
-
-bool FaultFs::ParseSpec(const std::string& spec, std::vector<FsFaultRule>* out,
-                        std::string* error) {
-  std::stringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ';')) {
-    if (item.empty()) continue;
-    FsFaultRule rule;
-
-    const std::size_t colon = item.find(':');
-    const std::size_t at = item.find('@');
-    if (colon == std::string::npos || at == std::string::npos || at < colon) {
-      if (error != nullptr) *error = "expected ACTION:OP@CALL in '" + item + "'";
-      return false;
-    }
-    if (!ParseFsActionToken(item.substr(0, colon), &rule)) {
-      if (error != nullptr) *error = "bad action in '" + item + "'";
-      return false;
-    }
-    if (!ParseFsOpToken(item.substr(colon + 1, at - colon - 1), &rule)) {
-      if (error != nullptr) *error = "bad fs op in '" + item + "'";
-      return false;
-    }
-    if (!ActionFitsOp(rule)) {
-      if (error != nullptr) {
-        *error = std::string("action '") + FsFaultActionName(rule.action) +
-                 "' requires its own op (short:write, fsyncfail:fsync, "
-                 "torn:rename) in '" + item + "'";
-      }
-      return false;
-    }
-
-    std::string call_token = item.substr(at + 1);
-    const std::size_t hash = call_token.find('#');
-    if (hash != std::string::npos) {
-      const std::string occ = call_token.substr(hash + 1);
-      call_token = call_token.substr(0, hash);
-      if (occ == "*") {
-        rule.every_match = true;
-      } else if (AllDigits(occ)) {
-        rule.occurrence = std::atoi(occ.c_str());
-      } else {
-        if (error != nullptr) *error = "bad occurrence in '" + item + "'";
-        return false;
-      }
-    }
-    if (call_token == "any") {
-      rule.any_call = true;
-    } else if (AllDigits(call_token)) {
-      rule.any_call = false;
-      rule.call = static_cast<std::uint64_t>(std::atoll(call_token.c_str()));
-    } else {
-      if (error != nullptr) *error = "bad call index in '" + item + "'";
-      return false;
-    }
-    out->push_back(rule);
-  }
-  return true;
-}
-
-bool FaultFs::AddRulesFromSpec(const std::string& spec, std::string* error) {
-  std::vector<FsFaultRule> rules;
-  if (!ParseSpec(spec, &rules, error)) return false;
-  for (const FsFaultRule& rule : rules) AddRule(rule);
-  return true;
-}
+    : base_(base != nullptr ? base : Fs::Real()),
+      rules_(kFsFaultGrammar, seed) {}
 
 FsFaultAction FaultFs::Decide(FsOp op, const std::string& what) {
-  const std::uint64_t call = calls_[static_cast<int>(op)]++;
-  for (RuleState& state : rules_) {
-    const FsFaultRule& rule = state.rule;
-    if (!rule.any_op && rule.op != op) continue;
-    if (!rule.any_call && rule.call != call) continue;
-    const int match_index = state.matches++;
-    if (!rule.every_match && (state.fired || match_index != rule.occurrence)) {
-      continue;
-    }
-    state.fired = true;
-
-    std::ostringstream line;
-    line << FsFaultActionName(rule.action) << ' ' << FsOpName(op)
-         << " call=" << call << " path=" << what;
-    log_.push_back(line.str());
-    ++faults_;
-    return rule.action;
-  }
-  return FsFaultAction::kNone;
+  const std::uint64_t call = calls_[Code(op)]++;
+  const FaultRule* rule = rules_.Match(Code(op), call);
+  if (rule == nullptr) return FsFaultAction::kNone;
+  std::ostringstream line;
+  line << rule->action->name << ' ' << FaultTokenName(kOps, Code(op))
+       << " call=" << call << " path=" << what;
+  rules_.Log(line.str());
+  return static_cast<FsFaultAction>(rule->action->code);
 }
 
 int FaultFs::Open(const std::string& path, int flags, mode_t mode) {
@@ -238,7 +117,7 @@ ssize_t FaultFs::Write(int fd, const void* data, std::size_t n) {
       // write loop must come back for the rest.
       if (n <= 1) return base_->Write(fd, data, n);
       const std::size_t partial =
-          1 + static_cast<std::size_t>(rng_.Below(n - 1));
+          1 + static_cast<std::size_t>(rules_.rng().Below(n - 1));
       return base_->Write(fd, data, partial);
     }
     default: return base_->Write(fd, data, n);
@@ -263,9 +142,9 @@ int FaultFs::Rename(const std::string& from, const std::string& to) {
     case FsFaultAction::kTorn:
       // The caller sees success, but the target was never replaced and
       // the temp survives — the on-disk state a power loss between the
-      // data fsync and the directory update would leave. Latch a crash
-      // request so the host dies here and recovery runs against it.
-      crash_requested_ = true;
+      // data fsync and the directory update would leave. The rule engine
+      // has latched a crash request so the host dies here and recovery
+      // runs against it.
       return 0;
     default: return base_->Rename(from, to);
   }
@@ -290,10 +169,8 @@ int SweepStaleTemps(Fs& fs, const std::string& dir) {
   for (const std::string& name : names) {
     const std::size_t tag = name.rfind(".tmp.");
     if (tag == std::string::npos) continue;
-    const std::string pid_digits = name.substr(tag + 5);
-    if (!AllDigits(pid_digits)) continue;
-    const pid_t pid = static_cast<pid_t>(std::atoll(pid_digits.c_str()));
-    if (pid <= 0) continue;
+    pid_t pid = 0;
+    if (!ParseDecimal(name.substr(tag + 5), &pid) || pid <= 0) continue;
     // kill(pid, 0) probes existence without signalling. Only ESRCH — no
     // such process — proves the writer is gone; EPERM means it exists
     // under another uid, and success means it is alive, so both keep

@@ -10,16 +10,15 @@
 // costs one virtual dispatch per syscall on a path that is already
 // dominated by the disk.
 //
-// FaultFs rules use the same compact spec grammar as rpc/fault.h, with
-// the frame (type, step) coordinates replaced by (operation, call index):
+// FaultFs rules use the spec grammar of util/fault_rules.h, with a
+// syscall's (operation, per-op call index) as the TARGET and INDEX:
 //
 //   ACTION:OP@CALL[#OCCURRENCE]
 //
-//   ACTION      enospc | eio | short | fsyncfail | torn
-//   OP          open | write | fsync | rename | unlink | any
-//   CALL        the Nth (0-based) call of that operation, or any
-//   OCCURRENCE  fire only on the Nth matching call (0-based, default 0),
-//               or * to fire on every match
+//   ACTION  enospc | eio | short | fsyncfail | torn
+//           (short, fsyncfail and torn are pinned to write, fsync and
+//           rename respectively)
+//   OP      open | write | fsync | rename | unlink | any
 //
 // Examples: "enospc:write@any#*" (every write fails ENOSPC — a full
 // disk), "eio:fsync@2" (the third fsync fails EIO), "short:write@0"
@@ -36,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "util/rng.h"
+#include "util/fault_rules.h"
 
 namespace threelc::util {
 
@@ -86,36 +85,22 @@ enum class FsFaultAction : std::uint8_t {
 enum class FsOp : std::uint8_t { kOpen = 0, kWrite, kFsync, kRename, kUnlink };
 inline constexpr int kFsOpCount = 5;
 
-const char* FsFaultActionName(FsFaultAction action);
-const char* FsOpName(FsOp op);
+// FaultFs's token tables.
+extern const FaultGrammar kFsFaultGrammar;
 
-struct FsFaultRule {
-  FsFaultAction action = FsFaultAction::kNone;
-  bool any_op = true;
-  FsOp op = FsOp::kWrite;  // matched when !any_op
-  bool any_call = true;
-  std::uint64_t call = 0;  // per-op call index, matched when !any_call
-  int occurrence = 0;      // fire on the Nth matching call (0-based)
-  bool every_match = false;
-};
-
-// Deterministic fault-injecting Fs decorator. Decisions are a pure
-// function of (seed, rules, call sequence) — replayable like the rpc
-// injector, with a schedule log to assert on. One instance per process;
-// per-op call counters are not thread-safe by design (the checkpoint
-// path is single-threaded).
+// Deterministic fault-injecting Fs decorator, replayable from its seed
+// like the rpc injector, with a schedule log to assert on. One instance
+// per process; per-op call counters are not thread-safe by design (the
+// checkpoint path is single-threaded).
 class FaultFs : public Fs {
  public:
   explicit FaultFs(Fs* base = nullptr, std::uint64_t seed = 0);
 
-  void AddRule(const FsFaultRule& rule);
-  std::size_t rule_count() const { return rules_.size(); }
-
-  // Parse the spec grammar from the file comment. Returns false with
-  // *error set on malformed input; on success appends to *out.
-  static bool ParseSpec(const std::string& spec, std::vector<FsFaultRule>* out,
-                        std::string* error);
-  bool AddRulesFromSpec(const std::string& spec, std::string* error);
+  // Append the rules of a spec (see file comment). Returns false with
+  // *error set on malformed input, adding none of them.
+  bool AddRulesFromSpec(const std::string& spec, std::string* error) {
+    return rules_.AddFromSpec(spec, error);
+  }
 
   int Open(const std::string& path, int flags, mode_t mode) override;
   ssize_t Write(int fd, const void* data, std::size_t n) override;
@@ -125,38 +110,26 @@ class FaultFs : public Fs {
   int Unlink(const std::string& path) override;
   bool List(const std::string& dir, std::vector<std::string>* names) override;
 
-  bool TakeCrashRequest() override {
-    const bool requested = crash_requested_;
-    crash_requested_ = false;
-    return requested;
-  }
+  bool TakeCrashRequest() override { return rules_.TakeCrashRequest(); }
 
   // Faults actually injected (calls that did not pass through cleanly).
-  std::size_t faults_injected() const { return faults_; }
+  std::size_t faults_injected() const { return rules_.faults_injected(); }
   // Calls seen per operation, fault-injected or not (test observability).
   std::uint64_t calls(FsOp op) const {
     return calls_[static_cast<int>(op)];
   }
   // One line per injected fault: "<action> <op> call=<n> path=<p>".
-  const std::vector<std::string>& schedule_log() const { return log_; }
+  const std::vector<std::string>& schedule_log() const {
+    return rules_.schedule_log();
+  }
 
  private:
   // The verdict for one call of `op` (also advances that op's counter).
   FsFaultAction Decide(FsOp op, const std::string& what);
 
-  struct RuleState {
-    FsFaultRule rule;
-    int matches = 0;
-    bool fired = false;
-  };
-
   Fs* base_;
-  std::vector<RuleState> rules_;
-  util::Rng rng_;
+  FaultRules rules_;
   std::uint64_t calls_[kFsOpCount] = {0, 0, 0, 0, 0};
-  std::vector<std::string> log_;
-  std::size_t faults_ = 0;
-  bool crash_requested_ = false;
 };
 
 // Remove stale atomic-write temp files ("<name>.tmp.<pid>") in `dir`

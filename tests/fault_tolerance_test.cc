@@ -4,8 +4,7 @@
 // and leave the final model bitwise identical to a fault-free run, for
 // both the float32 and 3LC codecs; injected connection faults must be
 // survived via reconnect + pull replay; grace-window expiry must evict the
-// dead worker and finish degraded on the survivors; and the deterministic
-// FaultInjector must produce identical schedules from identical seeds.
+// dead worker and finish degraded on the survivors.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -1448,20 +1447,6 @@ TEST(FaultTolerance, TxPartitionedWorkerReconnectsWithinLeaseBudget) {
   EXPECT_TRUE(ModelsBitwiseEqual(*h.model, *reference));
 }
 
-// The liveness additions to the injector grammar parse (direction rides
-// the TYPE slot for partition rules) and bad directions are diagnosed.
-TEST(FaultTolerance, StallAndPartitionSpecsParse) {
-  FaultInjector ok(1);
-  std::string error;
-  EXPECT_TRUE(ok.AddRulesFromSpec(
-      "stall:push@2;partition:rx@3;partition:tx@1#2;partition:both@any#*",
-      &error))
-      << error;
-  FaultInjector bad(1);
-  EXPECT_FALSE(bad.AddRulesFromSpec("partition:bogus@1", &error));
-  EXPECT_NE(error.find("partition direction"), std::string::npos) << error;
-}
-
 // Seeded chaos sweep, in-process edition: each seed derives a random
 // recoverable fault schedule (mixed corruption, close, delay, stall, and
 // one-way partitions) for worker 1, and every seed must terminate
@@ -1527,40 +1512,6 @@ TEST(FaultTolerance, ChaosSweepSeededSchedulesTerminateCleanly) {
     std::unique_ptr<nn::Model> reference = RunInProcessReference(setup);
     EXPECT_TRUE(ModelsBitwiseEqual(*h.model, *reference));
   }
-}
-
-// ---------- deterministic fault injection ----------
-
-std::vector<std::string> DriveSchedule(std::uint64_t seed) {
-  FaultInjector injector(seed);
-  std::string error;
-  EXPECT_TRUE(
-      injector.AddRulesFromSpec("corrupt:push@any#*;delay5:pull@3", &error))
-      << error;
-  for (std::uint64_t step = 0; step < 6; ++step) {
-    for (int t = 0; t < 3; ++t) {
-      injector.OnSend(MsgType::kPush, step, 512);
-      injector.OnSend(MsgType::kPull, step, 2048);
-    }
-    injector.OnSend(MsgType::kStepStats, step, 12);
-  }
-  return injector.schedule_log();
-}
-
-TEST(FaultTolerance, SameSeedSameFaultSchedule) {
-  const std::vector<std::string> a = DriveSchedule(1234);
-  const std::vector<std::string> b = DriveSchedule(1234);
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
-}
-
-TEST(FaultTolerance, DifferentSeedDifferentFaultSchedule) {
-  // Same rules, same traffic: the corrupted byte offsets must differ
-  // because they are drawn from the seeded stream.
-  const std::vector<std::string> a = DriveSchedule(1234);
-  const std::vector<std::string> b = DriveSchedule(99);
-  EXPECT_EQ(a.size(), b.size());  // rule matching is seed-independent
-  EXPECT_NE(a, b);
 }
 
 }  // namespace

@@ -314,6 +314,29 @@ TEST(PrometheusTest, NonFiniteValuesUseExpositionLiterals) {
   EXPECT_NE(out.str().find("threelc_bad_inf +Inf"), std::string::npos);
 }
 
+// Samples print in their shortest round-trip form: a byte counter past
+// 1e9 keeps every digit (rate() over it must not be quantized), and a
+// fraction keeps all 17 significant digits it needs.
+TEST(PrometheusTest, SamplesRoundTripExactly) {
+  MetricsRegistry registry;
+  registry.set_enabled(true);
+  registry.counter("traffic/push_bytes")->Add(1234567890123.0);
+  registry.gauge("train/loss")->Set(0.1 + 0.2);
+  std::ostringstream out;
+  WritePrometheus(registry, out);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("threelc_traffic_push_bytes_total 1234567890123\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("threelc_train_loss 0.30000000000000004\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(FormatSampleValue(-std::numeric_limits<double>::infinity()),
+            "-Inf");
+  EXPECT_EQ(FormatSampleValue(1e300), "1e+300");
+  EXPECT_EQ(std::stod(FormatSampleValue(1.0 / 3.0)), 1.0 / 3.0);
+}
+
 // --- Tracer ----------------------------------------------------------------
 
 TEST(TracerTest, DisabledTracerRecordsNothing) {

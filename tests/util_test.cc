@@ -503,40 +503,6 @@ std::string ReadWholeFile(const std::string& path) {
   return out.str();
 }
 
-TEST(FaultFs, ParsesSpecGrammar) {
-  std::vector<FsFaultRule> rules;
-  std::string error;
-  ASSERT_TRUE(FaultFs::ParseSpec(
-      "enospc:write@any#*;eio:fsync@2;short:write@0;torn:rename@1#3",
-      &rules, &error))
-      << error;
-  ASSERT_EQ(rules.size(), 4u);
-  EXPECT_EQ(rules[0].action, FsFaultAction::kEnospc);
-  EXPECT_FALSE(rules[0].any_op);
-  EXPECT_EQ(rules[0].op, FsOp::kWrite);
-  EXPECT_TRUE(rules[0].any_call);
-  EXPECT_TRUE(rules[0].every_match);
-  EXPECT_EQ(rules[1].action, FsFaultAction::kEio);
-  EXPECT_EQ(rules[1].op, FsOp::kFsync);
-  EXPECT_FALSE(rules[1].any_call);
-  EXPECT_EQ(rules[1].call, 2u);
-  EXPECT_EQ(rules[2].action, FsFaultAction::kShort);
-  EXPECT_EQ(rules[3].action, FsFaultAction::kTorn);
-  EXPECT_EQ(rules[3].occurrence, 3);
-}
-
-TEST(FaultFs, RejectsMalformedAndMismatchedSpecs) {
-  std::vector<FsFaultRule> rules;
-  std::string error;
-  // Unknown action, missing '@', and actions bound to the wrong op.
-  EXPECT_FALSE(FaultFs::ParseSpec("explode:write@0", &rules, &error));
-  EXPECT_FALSE(FaultFs::ParseSpec("enospc:write", &rules, &error));
-  EXPECT_FALSE(FaultFs::ParseSpec("short:fsync@0", &rules, &error));
-  EXPECT_FALSE(FaultFs::ParseSpec("fsyncfail:write@0", &rules, &error));
-  EXPECT_FALSE(FaultFs::ParseSpec("torn:write@0", &rules, &error));
-  EXPECT_FALSE(error.empty());
-}
-
 TEST(FaultFs, EnospcFailsTheTargetedWriteOnly) {
   const std::string path = ::testing::TempDir() + "/faultfs_enospc.txt";
   FaultFs fs(Fs::Real(), /*seed=*/1);
