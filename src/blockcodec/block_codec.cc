@@ -1,5 +1,6 @@
 #include "blockcodec/block_codec.h"
 
+#include <cstdint>
 #include <iterator>
 #include <stdexcept>
 
@@ -69,8 +70,23 @@ class LzRansCodec final : public BlockCodec {
   void Encode(util::ByteSpan raw, util::ByteBuffer& out) const override {
     util::ByteBuffer lz_bytes;
     lz::Compress(raw, lz_bytes);
+    EncodeLzOutput(lz_bytes.span(), out);
+  }
+
+  // The lz+rans body for an already-computed LZ token stream, so
+  // EncodeBlock runs LZ once for both the lz and lz+rans candidates.
+  // Same `limit` contract as rans::Encode.
+  static bool EncodeLzOutput(util::ByteSpan lz_bytes, util::ByteBuffer& out,
+                             std::size_t limit = SIZE_MAX) {
+    constexpr std::size_t kSizeBytes = 4;
+    if (limit <= kSizeBytes) return false;
+    const std::size_t base = out.size();
     out.AppendU32(static_cast<std::uint32_t>(lz_bytes.size()));
-    rans::Encode(lz_bytes.span(), out);
+    if (!rans::Encode(lz_bytes, out, limit - kSizeBytes)) {
+      out.Resize(base);
+      return false;
+    }
+    return true;
   }
 
   void Decode(util::ByteSpan encoded, std::size_t raw_size,
@@ -124,25 +140,42 @@ std::string KnownNames() {
 
 std::uint8_t EncodeBlock(const BlockCodec& codec, util::ByteSpan raw,
                          util::ByteBuffer& out) {
-  if (codec.id() == kStoreId) {
-    out.AppendU8(kStoreId);
-    out.AppendU32(static_cast<std::uint32_t>(raw.size()));
-    out.Append(raw);
-    return kStoreId;
+  const std::uint8_t negotiated = codec.id();
+  const bool try_lz = negotiated == kLzId || negotiated == kLzRansId;
+  const bool try_rans = negotiated == kRansId || negotiated == kLzRansId;
+  // Per-thread candidate buffers: the wire path encodes ~100 blocks of
+  // under 1 KB per step, where fresh allocations would dominate.
+  thread_local util::ByteBuffer lz_out, rans_out, lz_rans_out;
+  std::uint8_t best_id = kStoreId;
+  util::ByteSpan best = raw;
+  // Strict `<`: on a tie the earlier, cheaper-to-decode candidate wins.
+  const auto consider = [&](std::uint8_t id, const util::ByteBuffer& body) {
+    if (body.size() < best.size()) {
+      best_id = id;
+      best = body.span();
+    }
+  };
+  if (try_lz) {
+    lz_out.Clear();
+    lz::Compress(raw, lz_out);
+    consider(kLzId, lz_out);
   }
-  util::ByteBuffer encoded;
-  codec.Encode(raw, encoded);
-  if (encoded.size() >= raw.size()) {
-    // Skip-if-incompressible escape: store the block raw.
-    out.AppendU8(kStoreId);
-    out.AppendU32(static_cast<std::uint32_t>(raw.size()));
-    out.Append(raw);
-    return kStoreId;
+  // The rans stages give up as soon as they cannot beat the best so far.
+  if (try_rans) {
+    rans_out.Clear();
+    if (rans::Encode(raw, rans_out, best.size())) consider(kRansId, rans_out);
   }
-  out.AppendU8(codec.id());
+  if (try_lz && try_rans) {
+    lz_rans_out.Clear();
+    if (LzRansCodec::EncodeLzOutput(lz_out.span(), lz_rans_out,
+                                    best.size())) {
+      consider(kLzRansId, lz_rans_out);
+    }
+  }
+  out.AppendU8(best_id);
   out.AppendU32(static_cast<std::uint32_t>(raw.size()));
-  out.Append(encoded.span());
-  return codec.id();
+  out.Append(best);
+  return best_id;
 }
 
 void DecodeBlock(util::ByteSpan envelope, std::size_t max_raw_bytes,

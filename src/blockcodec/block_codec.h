@@ -26,10 +26,13 @@
 //        1     4  raw (uncompressed) size in bytes (u32 LE)
 //        5     n  codec output
 //
-// The id is per-block because of the skip-if-incompressible escape: when
-// the negotiated codec fails to shrink a block, EncodeBlock falls back to
-// `store` for that block, so pathological inputs cost 5 bytes instead of
-// an expansion.
+// The id is per-block because EncodeBlock keeps the smallest of several
+// encodings: `store` plus every stage of the negotiated pipeline — lz for
+// `lz`, rans for `rans`, and lz, rans and lz+rans for `lz+rans` (the LZ
+// output computed once and shared). Incompressible inputs therefore cost
+// 5 bytes instead of an expansion, and a block whose redundancy only one
+// stage sees (a skewed histogram without repeats, or repeats over a flat
+// histogram) still ships through that stage.
 #pragma once
 
 #include <cstddef>
@@ -80,10 +83,10 @@ std::string KnownNames();
 
 constexpr std::size_t kEnvelopeHeaderBytes = 5;  // u8 id + u32 raw size
 
-// Encode `raw` through `codec` with the skip-if-incompressible escape:
-// if the codec output (plus header) would be >= store (plus header), the
-// block is stored raw instead. Appends the envelope to `out` and returns
-// the codec id actually used (codec.id() or kStoreId).
+// Encode `raw` as the smallest of store and the stages of `codec`'s
+// pipeline (ties go to the candidate listed first: store, lz, rans,
+// lz+rans). Appends the envelope to `out` and returns the codec id
+// actually used.
 std::uint8_t EncodeBlock(const BlockCodec& codec, util::ByteSpan raw,
                          util::ByteBuffer& out);
 

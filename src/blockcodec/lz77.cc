@@ -8,8 +8,17 @@
 namespace threelc::blockcodec::lz {
 namespace {
 
-constexpr int kHashBits = 15;
-constexpr std::size_t kHashSize = std::size_t{1} << kHashBits;
+// The hash table is sized to the block: about two buckets per input
+// byte, between 2^kMinHashBits and 2^kMaxHashBits entries. A ~700-byte
+// per-tensor block then clears an 8 KB table instead of 128 KB.
+constexpr unsigned kMinHashBits = 8;
+constexpr unsigned kMaxHashBits = 15;
+
+unsigned HashBitsFor(std::size_t n) {
+  unsigned bits = kMinHashBits;
+  while (bits < kMaxHashBits && (std::size_t{1} << bits) < 2 * n) ++bits;
+  return bits;
+}
 
 inline std::uint32_t Load32(const std::uint8_t* p) {
   std::uint32_t v;
@@ -23,8 +32,8 @@ inline std::uint64_t Load64(const std::uint8_t* p) {
   return v;
 }
 
-inline std::uint32_t Hash(std::uint32_t v) {
-  return (v * 2654435761u) >> (32 - kHashBits);
+inline std::uint32_t Hash(std::uint32_t v, unsigned shift) {
+  return (v * 2654435761u) >> shift;
 }
 
 // Length of the common prefix of raw[a..] and raw[b..], capped at n - b
@@ -101,14 +110,16 @@ void Compress(util::ByteSpan raw, util::ByteBuffer& out) {
   out.Resize(base + n + n / 255 + 16);
   std::uint8_t* q = out.data() + base;
 
-  // Per-thread scratch: a fresh 128 KB table for a 20 KB payload would
-  // cost more than the search, so reuse it across calls. Head-only
+  // Per-thread scratch: reallocating the table per call would cost more
+  // than the search on small blocks, so reuse it across calls. Head-only
   // matching (most recent position per hash bucket, no chain walk) is the
   // LZ4 recipe: on the match-dense streams 3LC produces, walking chains
   // for a marginally longer match costs far more time than the extra
   // bytes it saves.
   thread_local std::vector<std::int32_t> head;
-  head.assign(kHashSize, -1);
+  const unsigned hash_bits = HashBitsFor(n);
+  const unsigned shift = 32 - hash_bits;
+  head.assign(std::size_t{1} << hash_bits, -1);
 
   std::size_t i = 0;
   std::size_t lit_start = 0;
@@ -118,14 +129,14 @@ void Compress(util::ByteSpan raw, util::ByteBuffer& out) {
   std::size_t misses = 0;
   while (i + kMinMatch <= n) {
     const std::uint32_t v = Load32(p + i);
-    const std::uint32_t h = Hash(v);
+    const std::uint32_t h = Hash(v, shift);
     const std::int32_t cand = head[h];
     head[h] = static_cast<std::int32_t>(i);
     std::size_t best_len = 0;
     std::size_t best_off = 0;
     if (cand >= 0) {
       const std::size_t c = static_cast<std::size_t>(cand);
-      // The hash folds 32 bits into kHashBits, so verify the candidate
+      // The hash folds 32 bits into hash_bits, so verify the candidate
       // really starts with the same 4 bytes before scanning.
       if (i - c <= kMaxOffset && Load32(p + c) == v) {
         best_len = MatchLength(p, c, i, n);
@@ -139,7 +150,7 @@ void Compress(util::ByteSpan raw, util::ByteBuffer& out) {
       // Sparse in-match inserts keep future matches findable across the
       // covered span without paying a table write per byte.
       for (std::size_t j = i + 1; j + kMinMatch <= n && j < end; j += 4) {
-        head[Hash(Load32(p + j))] = static_cast<std::int32_t>(j);
+        head[Hash(Load32(p + j), shift)] = static_cast<std::int32_t>(j);
       }
       i = end;
       lit_start = end;

@@ -37,7 +37,9 @@ constexpr std::uint32_t kServerVersion = 1;
 // raw_crc32c) before the inner magic is even looked at; any other file
 // is parsed as a bare checkpoint, so pre-container files keep loading.
 constexpr char kContainerMagic[4] = {'3', 'L', 'C', 'Z'};
-constexpr std::uint32_t kContainerVersion = 1;
+// Version 2: the rans and lz+rans payloads use the compact rans table
+// (blockcodec/rans.h); version-1 containers are rejected.
+constexpr std::uint32_t kContainerVersion = 2;
 constexpr std::size_t kContainerHeaderBytes = 4 + 4 + 1 + 8 + 4 + 4;
 // Initial capacity of a checkpoint blob: the header and the first tensors
 // fit without regrowth. (Reserving up front also keeps GCC 12 at -O3 from

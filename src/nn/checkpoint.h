@@ -35,9 +35,10 @@
 // Compressed container (optional): when a save is handed a block codec
 // other than "store" (blockcodec/block_codec.h), the complete "3LCK" /
 // "3LCS" byte stream above becomes the payload of an outer container:
-//   magic "3LCZ" | u32 container_version (1) | u8 codec_id
+//   magic "3LCZ" | u32 container_version (2) | u8 codec_id
 //   | u64 raw_size | u32 raw_crc32c | u32 comp_size | comp bytes
-// Loaders sniff the magic: "3LCZ" files are decoded first (rejecting
+// Version 2 carries the compact rans table; any other version (1 had the
+// 512-byte table) is rejected. Loaders sniff the magic: "3LCZ" files are decoded first (rejecting
 // unknown codec ids, truncation, trailing bytes, and any disagreement
 // between raw_size/raw_crc32c and the decoded bytes — size and CRC are
 // cross-checked independently), then parsed as a bare checkpoint; files

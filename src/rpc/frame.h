@@ -50,9 +50,12 @@ constexpr std::uint32_t kFrameMagic = 0x52434C33u;  // "3LCR"
 // the HEARTBEAT liveness frame: both roles emit it on an idle-aware
 // cadence so a hung-but-connected peer (SIGSTOP, one-way partition,
 // half-open socket) is detected by lease expiry instead of the global
-// step timeout. Older peers are
-// rejected at the parser (kBadVersion) before any payload is interpreted.
-constexpr std::uint8_t kProtocolVersion = 6;
+// step timeout. Version 7 changed the rans block layout (blockcodec/
+// rans.h) from a 256 x u16 frequency table to a compact list of the
+// symbols present, so a v6 rans or lz+rans envelope cannot be read by a
+// v7 peer. Older peers are rejected at the parser (kBadVersion) before
+// any payload is interpreted.
+constexpr std::uint8_t kProtocolVersion = 7;
 constexpr std::size_t kFrameHeaderBytes = 28;
 // Largest payload the parser will accept. Generously above any encoded
 // tensor in this repo; primarily a defense against a corrupted length

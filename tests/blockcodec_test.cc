@@ -1,8 +1,8 @@
 // Tests for the pluggable lossless block-codec subsystem (blockcodec/):
 // registry lookups, roundtrips over adversarial and realistic inputs
 // (including real 3LC quartic/ZRE wire streams), strict decode behavior
-// under fuzzed truncation and corruption, and the wire envelope with its
-// skip-if-incompressible escape.
+// under fuzzed truncation and corruption, the compact rans table, and
+// the wire envelope's best-of choice.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -258,7 +258,7 @@ TEST(BlockCodecRans, RejectsBadFrequencyTable) {
   const auto raw = RepetitiveBytes(1000);
   ByteBuffer encoded;
   rans::Encode(ByteSpan(raw.data(), raw.size()), encoded);
-  // Bump one frequency: table no longer sums to the scale.
+  // Bump the symbol count: the table no longer parses to the scale.
   std::vector<std::uint8_t> mut = ToVector(encoded);
   mut[0] ^= 0x01;
   ByteBuffer decoded;
@@ -267,16 +267,211 @@ TEST(BlockCodecRans, RejectsBadFrequencyTable) {
       std::runtime_error);
 }
 
+// The table lists only the symbols present: a block of a dozen distinct
+// bytes pays a few dozen header bytes, not a 256-entry table.
+TEST(BlockCodecRans, CompactHeaderOnSmallBlocks) {
+  std::vector<std::uint8_t> raw(700);
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    raw[i] = (i % 5 == 0) ? static_cast<std::uint8_t>(200 + i % 12) : 7;
+  }
+  ByteBuffer encoded;
+  ASSERT_TRUE(rans::Encode(ByteSpan(raw.data(), raw.size()), encoded));
+  EXPECT_EQ(encoded.data()[0], 12);  // 13 symbols present
+  EXPECT_LT(encoded.size(), raw.size() / 2);
+  ExpectRoundTrip(*Find("rans"), raw);
+
+  // One symbol: count byte, symbol, 2-byte frequency 4096, both states.
+  const std::vector<std::uint8_t> zeros(700, 0);
+  ByteBuffer single;
+  rans::Encode(ByteSpan(zeros.data(), zeros.size()), single);
+  EXPECT_EQ(single.size(), 1u + 1u + 2u + 8u);
+  ExpectRoundTrip(*Find("rans"), zeros);
+}
+
+// Handcrafted tables: each must be refused before any symbol is decoded.
+TEST(BlockCodecRans, RejectsMalformedCompactTables) {
+  const auto decode = [](std::vector<std::uint8_t> table) {
+    // Append both initial states at L; the payload itself is irrelevant.
+    for (int k = 0; k < 2; ++k) {
+      table.insert(table.end(), {0x00, 0x00, 0x01, 0x00});
+    }
+    ByteBuffer decoded;
+    rans::Decode(ByteSpan(table.data(), table.size()), 16, decoded);
+  };
+  // 4096 = 0x80 | (4096 & 0x7f), 4096 >> 7 = {0x80, 0x20}; 2048 = {0x80, 0x10}.
+  const auto expect_reject = [&](std::vector<std::uint8_t> table,
+                                 const char* want) {
+    try {
+      decode(std::move(table));
+      ADD_FAILURE() << "accepted a table that should fail with: " << want;
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_reject({1, 5, 0x80, 0x10, 5, 0x80, 0x10}, "strictly ascending");
+  expect_reject({1, 6, 0x80, 0x10, 5, 0x80, 0x10}, "strictly ascending");
+  expect_reject({1, 5, 0x00, 6, 0x80, 0x20}, "zero frequency");
+  expect_reject({1, 5, 0x64, 6, 0x64}, "sum to scale");
+  expect_reject({0, 5, 0x80, 0x10}, "sum to scale");
+  expect_reject({1, 5, 0x80, 0x20, 6, 0x01}, "sum to scale");
+  expect_reject({0, 5, 0x80, 0x00}, "varint");        // non-minimal
+  expect_reject({0, 5, 0x80, 0xA0, 0x00}, "varint");  // a third byte
+  // Truncated inside the table.
+  EXPECT_THROW(decode({2, 5, 0x80}), std::exception);
+  // A well-formed single-symbol table decodes (the states are at L).
+  std::vector<std::uint8_t> ok = {0, 5, 0x80, 0x20};
+  for (int k = 0; k < 2; ++k) ok.insert(ok.end(), {0x00, 0x00, 0x01, 0x00});
+  ByteBuffer decoded;
+  rans::Decode(ByteSpan(ok.data(), ok.size()), 16, decoded);
+  EXPECT_EQ(ToVector(decoded), std::vector<std::uint8_t>(16, 5));
+}
+
+// A budgeted encode either produces exactly the unbudgeted stream or
+// gives up leaving the output untouched.
+TEST(BlockCodecRans, EncodeLimitIsExact) {
+  for (const auto& raw : {RepetitiveBytes(5000), RandomBytes(3000, 9),
+                          QuarticStream(30000, 4)}) {
+    const ByteSpan span(raw.data(), raw.size());
+    ByteBuffer full;
+    ASSERT_TRUE(rans::Encode(span, full));
+    for (const std::size_t limit :
+         {std::size_t{0}, std::size_t{1}, full.size() / 2, full.size() - 1,
+          full.size(), full.size() + 1}) {
+      ByteBuffer out;
+      out.AppendU8(0xEE);
+      const bool kept = rans::Encode(span, out, limit);
+      EXPECT_EQ(kept, full.size() < limit) << "limit " << limit;
+      if (kept) {
+        EXPECT_EQ(out.size(), 1 + full.size());
+        EXPECT_EQ(std::memcmp(out.data() + 1, full.data(), full.size()), 0);
+      } else {
+        ASSERT_EQ(out.size(), 1u);
+        EXPECT_EQ(out.data()[0], 0xEE);
+      }
+    }
+  }
+}
+
+// A block where one byte is at least half of the input drives the state
+// of that symbol's chain above 2^31 (its scaled frequency is > 2048), the
+// range where a 32-bit reciprocal quotient is no longer exact. Every
+// such block must round-trip.
+TEST(BlockCodecRans, SkewedBlocksRoundTrip) {
+  util::Rng rng(0x5e3d);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::size_t n = 1 + rng.Below(2000);
+    const double dominant_share = 0.5 + 0.5 * rng.Uniform();
+    const auto dominant = static_cast<std::uint8_t>(rng.Below(256));
+    const std::uint64_t alphabet = 1 + rng.Below(64);
+    std::vector<std::uint8_t> raw(n);
+    for (auto& b : raw) {
+      b = rng.Bernoulli(dominant_share)
+              ? dominant
+              : static_cast<std::uint8_t>(rng.Below(alphabet));
+    }
+    ByteBuffer encoded;
+    rans::Encode(ByteSpan(raw.data(), raw.size()), encoded);
+    ByteBuffer decoded;
+    try {
+      rans::Decode(encoded.span(), raw.size(), decoded);
+    } catch (const std::exception& e) {
+      FAIL() << "trial " << trial << " (n=" << n << "): " << e.what();
+    }
+    ASSERT_EQ(ToVector(decoded), raw) << "trial " << trial << " (n=" << n
+                                      << ")";
+  }
+}
+
+// The stages EncodeBlock may pick from for each negotiated codec.
+std::vector<const BlockCodec*> PipelineStages(const BlockCodec& codec) {
+  switch (codec.id()) {
+    case kLzId:
+      return {Find("lz")};
+    case kRansId:
+      return {Find("rans")};
+    case kLzRansId:
+      return {Find("lz"), Find("rans"), Find("lz+rans")};
+    default:
+      return {};
+  }
+}
+
 TEST(BlockEnvelope, RoundTripsAndRecordsCodecId) {
   const auto raw = RepetitiveBytes(10000);
   for (const BlockCodec* codec : All()) {
     ByteBuffer envelope;
     const std::uint8_t used =
         EncodeBlock(*codec, ByteSpan(raw.data(), raw.size()), envelope);
-    EXPECT_EQ(used, codec->id());  // repetitive input always compresses
+    EXPECT_EQ(envelope.data()[0], used);
+    if (codec->id() == kStoreId) {
+      EXPECT_EQ(used, kStoreId);
+    } else {
+      // Repetitive input always compresses, through one of the stages.
+      bool is_stage = false;
+      for (const BlockCodec* stage : PipelineStages(*codec)) {
+        is_stage = is_stage || stage->id() == used;
+      }
+      EXPECT_TRUE(is_stage) << codec->name() << " used " << int{used};
+    }
     ByteBuffer decoded;
     DecodeBlock(envelope.span(), raw.size(), decoded);
     EXPECT_EQ(ToVector(decoded), raw) << codec->name();
+  }
+}
+
+// Best-of: whatever the negotiated codec, the envelope is never larger
+// than store or any stage of its pipeline run alone (plus the 5-byte
+// header), and it decodes byte-exactly. The inputs cover each winner:
+// repeats over a flat histogram (lz), a skewed histogram without
+// repeats (rans), both (lz+rans) and neither (store).
+TEST(BlockEnvelope, KeepsTheSmallestCandidate) {
+  std::vector<std::vector<std::uint8_t>> inputs = {
+      {},
+      {0x5a},
+      RandomBytes(700, 3),
+      RepetitiveBytes(700),
+      RepetitiveBytes(20000),
+      std::vector<std::uint8_t>(5000, 0),
+      QuarticStream(176 * 176, 11),
+      QuarticStream(192 * 176, 12),
+      QuarticStream(200000, 13),
+  };
+  {
+    // Periodic random bytes: every byte value equally likely, long repeats.
+    const auto period = RandomBytes(97, 21);
+    std::vector<std::uint8_t> v;
+    while (v.size() < 3000) v.insert(v.end(), period.begin(), period.end());
+    inputs.push_back(v);
+  }
+  {
+    // i.i.d. skewed bytes: a lopsided histogram but few long repeats.
+    util::Rng rng(22);
+    std::vector<std::uint8_t> v(900);
+    for (auto& b : v) {
+      b = rng.Bernoulli(0.7) ? 0x40
+                             : static_cast<std::uint8_t>(rng.Below(32));
+    }
+    inputs.push_back(v);
+  }
+  for (const BlockCodec* codec : All()) {
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      const auto& raw = inputs[k];
+      const ByteSpan span(raw.data(), raw.size());
+      ByteBuffer envelope;
+      EncodeBlock(*codec, span, envelope);
+      EXPECT_LE(envelope.size(), kEnvelopeHeaderBytes + raw.size())
+          << codec->name() << " input " << k << " vs store";
+      for (const BlockCodec* stage : PipelineStages(*codec)) {
+        ByteBuffer alone;
+        stage->Encode(span, alone);
+        EXPECT_LE(envelope.size(), kEnvelopeHeaderBytes + alone.size())
+            << codec->name() << " input " << k << " vs " << stage->name();
+      }
+      ByteBuffer decoded;
+      DecodeBlock(envelope.span(), raw.size(), decoded);
+      EXPECT_EQ(ToVector(decoded), raw) << codec->name() << " input " << k;
+    }
   }
 }
 

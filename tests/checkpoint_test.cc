@@ -405,6 +405,7 @@ bool HasContainerMagic(const std::string& bytes) {
 
 // Container header layout (checkpoint.h): magic[4] | u32 version |
 // u8 codec_id | u64 raw_size | u32 raw_crc32c | u32 comp_size.
+constexpr std::size_t kVersionOffset = 4;
 constexpr std::size_t kCodecIdOffset = 8;
 constexpr std::size_t kRawSizeOffset = 9;
 constexpr std::size_t kRawCrcOffset = 17;
@@ -522,6 +523,34 @@ TEST(CompressedCheckpoint, UnknownCodecIdIsRejected) {
   WriteFileBytes(path, bytes);
   auto victim = train::BuildMlp(Spec(), 8);
   EXPECT_THROW(nn::LoadCheckpoint(victim, path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+// Container v2 carries the compact rans table; a v1 container (the
+// 512-byte table) or any other version is refused before its payload is
+// decoded, even when the payload itself is intact.
+TEST(CompressedCheckpoint, OtherContainerVersionsAreRejected) {
+  auto model = CompressibleModel(7);
+  const std::string path = TempPath("zckpt_version.bin");
+  nn::SaveCheckpoint(model, path, /*checksum=*/true, "rans");
+  const std::string bytes = ReadFileBytes(path);
+  ASSERT_TRUE(HasContainerMagic(bytes));
+  EXPECT_EQ(bytes.substr(kVersionOffset, 4), std::string("\x02\0\0\0", 4));
+  for (const char version : {'\x00', '\x01', '\x03'}) {
+    std::string mut = bytes;
+    mut[kVersionOffset] = version;
+    WriteFileBytes(path, mut);
+    auto victim = train::BuildMlp(Spec(), 8);
+    try {
+      nn::LoadCheckpoint(victim, path);
+      ADD_FAILURE() << "container version " << static_cast<int>(version)
+                    << " loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("container version"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -246,16 +246,17 @@ TEST(Frame, MsgTypeNamesAreStable) {
 }
 
 // Frames from every older protocol version (v1 pre-fault-tolerance, v2
-// pre-epoch, v3 pre-telemetry, v4 pre-block-codec, v5 pre-liveness) must
-// be rejected at the parser with a typed kBadVersion, not misinterpreted —
-// a v5 peer cannot speak to a v6 endpoint at all, so a version-skewed
-// HELLO dies as a clean "protocol" reject before any payload decode.
+// pre-epoch, v3 pre-telemetry, v4 pre-block-codec, v5 pre-liveness, v6
+// with the 512-byte rans table) must be rejected at the parser with a
+// typed kBadVersion, not misinterpreted — a v6 peer cannot speak to a v7
+// endpoint at all, so a version-skewed HELLO dies as a clean "protocol"
+// reject before any payload decode.
 TEST(Frame, OldProtocolVersionsRejected) {
-  static_assert(kProtocolVersion == 6,
+  static_assert(kProtocolVersion == 7,
                 "update this test alongside the protocol version");
   for (std::uint8_t old_version :
        {std::uint8_t{1}, std::uint8_t{2}, std::uint8_t{3}, std::uint8_t{4},
-        std::uint8_t{5}}) {
+        std::uint8_t{5}, std::uint8_t{6}}) {
     util::ByteBuffer wire;
     EncodeFrame(MsgType::kHello, 0, 0, MakePayload(8, 4).span(), wire);
     wire.data()[4] = old_version;

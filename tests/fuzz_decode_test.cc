@@ -1,10 +1,13 @@
 // Failure-injection tests: decoders must survive corrupted, truncated, and
 // adversarial payloads — either throwing a std::exception or producing a
-// finite tensor — but never crashing or reading out of bounds.
+// finite tensor (or, for block envelopes, exactly the declared bytes) —
+// but never crashing or reading out of bounds.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "blockcodec/block_codec.h"
 #include "compress/factory.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
@@ -94,6 +97,64 @@ TEST_P(DecodeFuzz, RandomGarbage) {
 TEST_P(DecodeFuzz, EmptyPayload) {
   auto codec = MakeCompressor(GetParam().config);
   TryDecode(*codec, util::ByteSpan{}, Shape{7});
+}
+
+// The second stage under the same rule: a corrupted or random block
+// envelope — flipped bytes land in the compact rans table (symbol order,
+// zero or oversized frequencies, varint bytes) as often as in the
+// payload — either throws or decodes to exactly its declared raw size.
+TEST(BlockDecodeFuzz, CorruptEnvelopesThrowOrKeepDeclaredSize) {
+  auto codec = MakeCompressor(CodecConfig::ThreeLC(1.75f));
+  util::Rng rng(4);
+  Tensor in(Shape{176, 176});
+  tensor::FillNormal(in, rng, 0.0f, 0.1f);
+  auto ctx = codec->MakeContext(in.shape());
+  util::ByteBuffer stream;
+  codec->Encode(in, *ctx, stream);
+  constexpr std::size_t kMaxRaw = 1 << 20;
+
+  const auto try_decode = [&](const util::ByteBuffer& envelope) {
+    util::ByteBuffer decoded;
+    try {
+      blockcodec::DecodeBlock(envelope.span(), kMaxRaw, decoded);
+    } catch (const std::exception&) {
+      return;
+    }
+    std::uint32_t declared;
+    std::memcpy(&declared, envelope.data() + 1, sizeof(declared));
+    EXPECT_EQ(decoded.size(), declared);
+  };
+
+  for (const blockcodec::BlockCodec* block : blockcodec::All()) {
+    util::ByteBuffer envelope;
+    // The codec's own stage, so every id's decoder is exercised.
+    envelope.AppendU8(block->id());
+    envelope.AppendU32(static_cast<std::uint32_t>(stream.size()));
+    block->Encode(stream.span(), envelope);
+    for (int trial = 0; trial < 300; ++trial) {
+      util::ByteBuffer mutated;
+      mutated.Append(envelope.span());
+      const int flips = 1 + static_cast<int>(rng.Below(3));
+      for (int f = 0; f < flips; ++f) {
+        const std::size_t span = trial % 2 == 0
+                                     ? std::min<std::size_t>(64, mutated.size())
+                                     : mutated.size();
+        const std::size_t pos = rng.Below(span);
+        mutated.data()[pos] ^= static_cast<std::uint8_t>(1 + rng.Below(255));
+      }
+      try_decode(mutated);
+    }
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    util::ByteBuffer garbage;
+    garbage.AppendU8(static_cast<std::uint8_t>(rng.Below(5)));
+    garbage.AppendU32(static_cast<std::uint32_t>(rng.Below(4096)));
+    const std::size_t n = rng.Below(600);
+    for (std::size_t i = 0; i < n; ++i) {
+      garbage.PushByte(static_cast<std::uint8_t>(rng.Below(256)));
+    }
+    try_decode(garbage);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
