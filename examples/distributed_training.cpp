@@ -118,9 +118,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -881,8 +883,7 @@ int RunSpawn(const util::Flags& flags) {
 
   const std::string checkpoint_path = flags.GetString("checkpoint-out", "");
   if (!checkpoint_path.empty()) {
-    nn::SaveCheckpoint(*parts.model, checkpoint_path, /*checksum=*/true,
-                       setup.block_codec);
+    nn::SaveCheckpoint(*parts.model, checkpoint_path, setup.block_codec);
     std::printf("checkpoint written to %s\n", checkpoint_path.c_str());
   }
 
@@ -917,6 +918,16 @@ int main(int argc, char** argv) {
   obs::ApplyLogLevelFlag(flags);
   InstallStopHandlers();  // before fork: children inherit the disposition
   const std::string role = flags.GetString("role", "");
+
+  // Every crash checkpoint lands in --state-dir; refuse a bad one now, in
+  // every role, rather than at the first kill or write-ahead checkpoint.
+  const std::string state_dir = flags.GetString("state-dir", ".");
+  std::error_code ec;
+  if (!std::filesystem::is_directory(state_dir, ec)) {
+    std::fprintf(stderr, "--state-dir %s is not an existing directory\n",
+                 state_dir.c_str());
+    return 1;
+  }
 
   try {
     if (role.empty()) return RunSpawn(flags);
@@ -1022,8 +1033,7 @@ int main(int argc, char** argv) {
       const std::string checkpoint_path =
           flags.GetString("checkpoint-out", "");
       if (completed && !checkpoint_path.empty()) {
-        nn::SaveCheckpoint(*parts.model, checkpoint_path,
-                           /*checksum=*/true, setup.block_codec);
+        nn::SaveCheckpoint(*parts.model, checkpoint_path, setup.block_codec);
         std::printf("checkpoint written to %s\n", checkpoint_path.c_str());
       }
       if (telemetry != nullptr) telemetry->Flush();

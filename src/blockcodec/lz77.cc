@@ -206,10 +206,14 @@ void Decompress(util::ByteSpan encoded, std::size_t raw_size,
     if (match_len > raw_size - pos) {
       throw std::runtime_error("lz: match run past declared size");
     }
-    // Byte-wise so overlapping matches (offset < length) repeat their
-    // period, which is exactly what the encoder meant.
-    for (std::size_t k = 0; k < match_len; ++k) {
-      dst[pos + k] = dst[pos + k - offset];
+    if (offset >= match_len) {
+      std::memcpy(dst + pos, dst + pos - offset, match_len);
+    } else {
+      // Byte-wise so overlapping matches (offset < length) repeat their
+      // period, which is exactly what the encoder meant.
+      for (std::size_t k = 0; k < match_len; ++k) {
+        dst[pos + k] = dst[pos + k - offset];
+      }
     }
     pos += match_len;
   }

@@ -1,11 +1,11 @@
 #include "nn/checkpoint.h"
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <istream>
-#include <iterator>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "blockcodec/block_codec.h"
@@ -18,14 +18,17 @@ namespace threelc::nn {
 namespace {
 
 constexpr char kMagic[4] = {'3', 'L', 'C', 'K'};
-constexpr std::uint32_t kVersionPlain = 1;       // no trailer
-constexpr std::uint32_t kVersionChecksum = 2;    // CRC32C trailer
+constexpr std::uint32_t kVersionChecksum = 2;    // model tensors
 constexpr std::uint32_t kVersionTrainState = 3;  // + training-state section
 
-// Server checkpoints: distinct magic, own version counter. The body is
-// CRC-protected like a v2+ model checkpoint.
+// Server checkpoints: distinct magic, own version counter.
 constexpr char kServerMagic[4] = {'3', 'L', 'C', 'S'};
 constexpr std::uint32_t kServerVersion = 1;
+
+// Magic + u32 version precede the CRC-covered body; the u32 CRC32C
+// trailer follows it.
+constexpr std::size_t kHeaderBytes = 8;
+constexpr std::size_t kTrailerBytes = 4;
 
 // Compressed container ("3LCZ"): an outer wrapper holding a complete
 // model or server checkpoint blob run through a blockcodec. Layout:
@@ -35,7 +38,7 @@ constexpr std::uint32_t kServerVersion = 1;
 // (strictly: comp_size must consume the rest of the file, the decoded
 // length must equal raw_size, and the decoded bytes must match
 // raw_crc32c) before the inner magic is even looked at; any other file
-// is parsed as a bare checkpoint, so pre-container files keep loading.
+// is parsed as a bare checkpoint.
 constexpr char kContainerMagic[4] = {'3', 'L', 'C', 'Z'};
 // Version 2: the rans and lz+rans payloads use the compact rans table
 // (blockcodec/rans.h); version-1 containers are rejected.
@@ -64,58 +67,78 @@ std::vector<NamedTensor> CollectTensors(Model& model) {
   return tensors;
 }
 
-// Stream wrappers that fold every byte written/read after the version
-// field into a running CRC32C, so the trailer covers the whole body.
-// Writes accumulate the complete blob in memory (checkpoints here are
-// small — a model plus bounded state) so the container path can compress
-// it as one block; the blob then goes to disk through an
-// AtomicFileWriter (temp + fsync + rename), so an exception or crash at
-// any point leaves the previous checkpoint intact.
-struct CrcWriter {
-  util::ByteBuffer& out;
-  std::uint32_t crc = 0;
+// ---------- writer ----------
+//
+// A save builds the complete blob in memory (checkpoints here are a model
+// plus bounded state) so the container path can compress it as one
+// block; the blob then goes to disk through an AtomicFileWriter (temp +
+// fsync + rename), so an exception or crash at any point leaves the
+// previous checkpoint intact.
 
-  void Write(const void* data, std::size_t n) {
-    if (n == 0) return;
-    out.Append(data, n);
-    crc = util::Crc32cExtend(crc, data, n);
-  }
-  template <typename T>
-  void WriteScalar(T v) {
-    Write(&v, sizeof(T));
-  }
-};
+util::ByteBuffer BeginBlob(const char (&magic)[4], std::uint32_t version) {
+  util::ByteBuffer blob(kBlobInitialBytes);
+  blob.Append(magic, sizeof(magic));
+  blob.AppendU32(version);
+  return blob;
+}
 
-struct CrcReader {
-  std::istream& in;
-  std::uint32_t crc = 0;
+// The trailer: one CRC32C over every byte after the version field.
+void AppendTrailer(util::ByteBuffer& blob) {
+  blob.AppendU32(util::Crc32c(blob.data() + kHeaderBytes,
+                              blob.size() - kHeaderBytes));
+}
 
-  void Read(void* data, std::size_t n) {
-    if (n == 0) return;
-    in.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
-    if (!in) throw std::runtime_error("checkpoint: unexpected end of file");
-    crc = util::Crc32cExtend(crc, data, n);
-  }
-  template <typename T>
-  T ReadScalar() {
-    T v;
-    Read(&v, sizeof(T));
-    return v;
-  }
-};
+// u32 length | bytes.
+void AppendBytes(util::ByteBuffer& blob, const void* data, std::size_t n) {
+  blob.AppendU32(static_cast<std::uint32_t>(n));
+  blob.Append(data, n);
+}
 
-template <typename T>
-T ReadScalarRaw(std::istream& in) {
-  T v;
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!in) throw std::runtime_error("checkpoint: unexpected end of file");
-  return v;
+void AppendBytes(util::ByteBuffer& blob,
+                 const std::vector<std::uint8_t>& bytes) {
+  AppendBytes(blob, bytes.data(), bytes.size());
+}
+
+void AppendTensorSection(util::ByteBuffer& blob, Model& model) {
+  auto tensors = CollectTensors(model);
+  blob.AppendU32(static_cast<std::uint32_t>(tensors.size()));
+  for (auto& [name, tensor] : tensors) {
+    AppendBytes(blob, name.data(), name.size());
+    const auto& dims = tensor->shape().dims();
+    blob.AppendU32(static_cast<std::uint32_t>(dims.size()));
+    for (auto d : dims) blob.AppendScalar<std::int64_t>(d);
+    blob.Append(tensor->data(), tensor->byte_size());
+  }
+}
+
+void AppendStateSection(util::ByteBuffer& blob, const TrainState& state) {
+  blob.AppendU64(state.next_step);
+  AppendBytes(blob, state.codec_state);
+  AppendBytes(blob, state.sampler_state);
+}
+
+void AppendServerStateSection(util::ByteBuffer& blob,
+                              const ServerState& state) {
+  if (state.evicted.size() != state.greeted.size()) {
+    throw std::runtime_error(
+        "server checkpoint: evicted/greeted table size mismatch");
+  }
+  blob.AppendU64(state.epoch);
+  blob.AppendU64(state.next_step);
+  AppendBytes(blob, state.ps_state);
+  AppendBytes(blob, state.evicted);
+  blob.Append(state.greeted.data(), state.greeted.size());
+  blob.AppendU32(static_cast<std::uint32_t>(state.replay.size()));
+  for (const auto& entry : state.replay) {
+    blob.AppendU64(entry.step);
+    blob.AppendU32(static_cast<std::uint32_t>(entry.frames.size()));
+    for (const auto& frame : entry.frames) AppendBytes(blob, frame);
+  }
 }
 
 // Atomically write a finished checkpoint blob, optionally wrapped in the
 // compressed container. `store` (or a block the codec cannot shrink —
-// the skip-if-incompressible escape) writes the bare blob, byte-for-byte
-// what pre-container versions wrote.
+// the skip-if-incompressible escape) writes the bare blob.
 void WriteBlob(const std::string& path, const util::ByteBuffer& blob,
                const std::string& block_codec, const char* what,
                util::Fs* fs) {
@@ -147,20 +170,25 @@ void WriteBlob(const std::string& path, const util::ByteBuffer& blob,
   out.Commit();
 }
 
-// Read the whole file, unwrapping (and strictly validating) the "3LCZ"
-// container when present. Returns the bare checkpoint bytes.
+// ---------- reader ----------
+
+// Read the whole file once, unwrapping (and strictly validating) the
+// "3LCZ" container when present. Returns the bare checkpoint bytes.
 std::vector<std::uint8_t> ReadCheckpointBytes(const std::string& path,
-                                              const char* what) {
+                                              const std::string& what) {
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
   std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error(std::string(what) + ": cannot open " + path);
+  if (ec || !in) throw std::runtime_error(what + ": cannot open " + path);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  if (!in.read(reinterpret_cast<char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()))) {
+    throw std::runtime_error(what + ": cannot read " + path);
   }
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
   if (bytes.size() < sizeof(kContainerMagic) ||
       std::memcmp(bytes.data(), kContainerMagic,
                   sizeof(kContainerMagic)) != 0) {
-    return bytes;  // bare (pre-container) checkpoint
+    return bytes;  // bare checkpoint
   }
   try {
     util::ByteReader reader(util::ByteSpan(bytes.data(), bytes.size()));
@@ -202,246 +230,192 @@ std::vector<std::uint8_t> ReadCheckpointBytes(const std::string& path,
     if (util::Crc32c(decoded.data(), decoded.size()) != raw_crc) {
       throw std::runtime_error("decoded bytes fail the container CRC32C");
     }
-    return std::vector<std::uint8_t>(decoded.data(),
-                                     decoded.data() + decoded.size());
+    return decoded.Release();
   } catch (const std::exception& e) {
-    throw std::runtime_error(std::string(what) +
-                             ": bad compressed container in " + path + ": " +
-                             e.what());
+    throw std::runtime_error(what + ": bad compressed container in " + path +
+                             ": " + e.what());
   }
 }
 
-// In-memory istream over the (possibly unwrapped) checkpoint bytes, so
-// one parser serves bare files and container contents alike.
-std::istringstream MemoryStream(const std::vector<std::uint8_t>& bytes) {
-  return std::istringstream(
-      std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()),
-      std::ios::binary);
-}
-
-void WriteTensorSection(CrcWriter& body, Model& model) {
-  auto tensors = CollectTensors(model);
-  body.WriteScalar<std::uint32_t>(static_cast<std::uint32_t>(tensors.size()));
-  for (auto& [name, tensor] : tensors) {
-    body.WriteScalar<std::uint32_t>(static_cast<std::uint32_t>(name.size()));
-    body.Write(name.data(), name.size());
-    const auto& dims = tensor->shape().dims();
-    body.WriteScalar<std::uint32_t>(static_cast<std::uint32_t>(dims.size()));
-    for (auto d : dims) body.WriteScalar<std::int64_t>(d);
-    body.Write(tensor->data(), tensor->byte_size());
+// Load `path` as a `magic` checkpoint with a version in [min_version,
+// max_version]: check the magic and the version, verify the trailer CRC
+// over the whole body, and only then hand `parse(version, reader)` a
+// bounds-checked reader over the body. No length field is trusted before
+// the CRC holds, and none can allocate past the bytes present. Any parse
+// failure (a length pointing past the end, an architecture mismatch,
+// bytes left over) names the file.
+template <typename Parse>
+void LoadBody(const std::string& path, const char (&magic)[4],
+              std::uint32_t min_version, std::uint32_t max_version,
+              const std::string& what, Parse parse) {
+  const std::vector<std::uint8_t> bytes = ReadCheckpointBytes(path, what);
+  if (bytes.size() < sizeof(magic) ||
+      std::memcmp(bytes.data(), magic, sizeof(magic)) != 0) {
+    throw std::runtime_error(what + ": bad magic in " + path);
   }
-}
-
-void ReadTensorSection(CrcReader& body, Model& model) {
-  auto tensors = CollectTensors(model);
-  const auto count = body.ReadScalar<std::uint32_t>();
-  if (count != tensors.size()) {
-    throw std::runtime_error("checkpoint: tensor count mismatch");
+  if (bytes.size() < kHeaderBytes + kTrailerBytes) {
+    throw std::runtime_error(what + ": truncated file " + path);
   }
-  for (auto& [name, tensor] : tensors) {
-    const auto name_len = body.ReadScalar<std::uint32_t>();
-    std::string stored_name(name_len, '\0');
-    body.Read(stored_name.data(), name_len);
-    if (stored_name != name) {
-      throw std::runtime_error("checkpoint: tensor name mismatch: expected " +
-                               name + ", found " + stored_name);
-    }
-    const auto rank = body.ReadScalar<std::uint32_t>();
-    std::vector<std::int64_t> dims(rank);
-    for (auto& d : dims) d = body.ReadScalar<std::int64_t>();
-    if (tensor::Shape(dims) != tensor->shape()) {
-      throw std::runtime_error("checkpoint: shape mismatch for " + name);
-    }
-    body.Read(tensor->data(), tensor->byte_size());
-  }
-}
-
-void WriteStateSection(CrcWriter& body, const TrainState& state) {
-  body.WriteScalar<std::uint64_t>(state.next_step);
-  body.WriteScalar<std::uint32_t>(
-      static_cast<std::uint32_t>(state.codec_state.size()));
-  body.Write(state.codec_state.data(), state.codec_state.size());
-  body.WriteScalar<std::uint32_t>(
-      static_cast<std::uint32_t>(state.sampler_state.size()));
-  body.Write(state.sampler_state.data(), state.sampler_state.size());
-}
-
-void ReadStateSection(CrcReader& body, TrainState* state) {
-  state->next_step = body.ReadScalar<std::uint64_t>();
-  state->codec_state.resize(body.ReadScalar<std::uint32_t>());
-  body.Read(state->codec_state.data(), state->codec_state.size());
-  state->sampler_state.resize(body.ReadScalar<std::uint32_t>());
-  body.Read(state->sampler_state.data(), state->sampler_state.size());
-}
-
-void CheckVersion(std::uint32_t version, const std::string& path) {
-  if (version < kVersionPlain || version > kVersionTrainState) {
-    throw std::runtime_error("checkpoint: unsupported version " +
+  std::uint32_t version;
+  std::memcpy(&version, bytes.data() + sizeof(magic), sizeof(version));
+  if (version < min_version || version > max_version) {
+    throw std::runtime_error(what + ": unsupported version " +
                              std::to_string(version) + " in " + path);
   }
-}
-
-// Shared load path: restores tensors, fills *state from a v3 section when
-// requested (require_state), otherwise validates and discards it, and
-// verifies the CRC trailer for version >= 2.
-void LoadImpl(Model& model, TrainState* state, bool require_state,
-              const std::string& path) {
-  const std::vector<std::uint8_t> bytes =
-      ReadCheckpointBytes(path, "checkpoint");
-  std::istringstream in = MemoryStream(bytes);
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("checkpoint: bad magic in " + path);
+  const util::ByteSpan body(bytes.data() + kHeaderBytes,
+                            bytes.size() - kHeaderBytes - kTrailerBytes);
+  std::uint32_t stored;
+  std::memcpy(&stored, bytes.data() + bytes.size() - kTrailerBytes,
+              sizeof(stored));
+  if (util::Crc32c(body) != stored) {
+    throw std::runtime_error(what + ": CRC32C mismatch in " + path +
+                             " (file corrupt)");
   }
-  const auto version = ReadScalarRaw<std::uint32_t>(in);
-  CheckVersion(version, path);
-  if (require_state && version < kVersionTrainState) {
-    throw std::runtime_error(
-        "checkpoint: " + path + " (version " + std::to_string(version) +
-        ") has no training-state section; cannot resume exactly");
-  }
-
-  CrcReader body{in};
-  ReadTensorSection(body, model);
-  if (version >= kVersionTrainState) {
-    TrainState discard;
-    ReadStateSection(body, state != nullptr ? state : &discard);
-  }
-  if (version >= kVersionChecksum) {
-    const auto stored = ReadScalarRaw<std::uint32_t>(in);
-    if (stored != body.crc) {
-      throw std::runtime_error("checkpoint: CRC32C mismatch in " + path +
-                               " (file corrupt)");
+  try {
+    util::ByteReader in(body);
+    parse(version, in);
+    if (!in.AtEnd()) {
+      throw std::runtime_error("trailing bytes before the CRC trailer");
     }
+  } catch (const std::exception& e) {
+    throw std::runtime_error(what + " " + path + ": " + e.what());
   }
 }
 
-void WriteServerStateSection(CrcWriter& body, const ServerState& state) {
-  if (state.evicted.size() != state.greeted.size()) {
-    throw std::runtime_error(
-        "server checkpoint: evicted/greeted table size mismatch");
+// u32 length | bytes, as a view into the body.
+util::ByteSpan ReadBytes(util::ByteReader& in) {
+  return in.ReadSpan(in.ReadU32());
+}
+
+std::vector<std::uint8_t> ReadVector(util::ByteReader& in) {
+  const util::ByteSpan bytes = ReadBytes(in);
+  return {bytes.begin(), bytes.end()};
+}
+
+// A u32 element count whose elements take at least `min_item_bytes` each;
+// a count the remaining bytes cannot hold is refused before anything is
+// sized from it.
+std::uint32_t ReadCount(util::ByteReader& in, std::size_t min_item_bytes,
+                        const char* what) {
+  const std::uint32_t count = in.ReadU32();
+  if (count > in.remaining() / min_item_bytes) {
+    throw std::runtime_error(std::string(what) + " count " +
+                             std::to_string(count) +
+                             " exceeds the bytes present");
   }
-  body.WriteScalar<std::uint64_t>(state.epoch);
-  body.WriteScalar<std::uint64_t>(state.next_step);
-  body.WriteScalar<std::uint32_t>(
-      static_cast<std::uint32_t>(state.ps_state.size()));
-  body.Write(state.ps_state.data(), state.ps_state.size());
-  body.WriteScalar<std::uint32_t>(
-      static_cast<std::uint32_t>(state.evicted.size()));
-  body.Write(state.evicted.data(), state.evicted.size());
-  body.Write(state.greeted.data(), state.greeted.size());
-  body.WriteScalar<std::uint32_t>(
-      static_cast<std::uint32_t>(state.replay.size()));
-  for (const auto& entry : state.replay) {
-    body.WriteScalar<std::uint64_t>(entry.step);
-    body.WriteScalar<std::uint32_t>(
-        static_cast<std::uint32_t>(entry.frames.size()));
-    for (const auto& frame : entry.frames) {
-      body.WriteScalar<std::uint32_t>(static_cast<std::uint32_t>(frame.size()));
-      body.Write(frame.data(), frame.size());
+  return count;
+}
+
+void ReadTensorSection(util::ByteReader& in, Model& model) {
+  auto tensors = CollectTensors(model);
+  if (in.ReadU32() != tensors.size()) {
+    throw std::runtime_error("tensor count mismatch");
+  }
+  for (auto& [name, tensor] : tensors) {
+    const util::ByteSpan stored = ReadBytes(in);
+    const std::string_view stored_name(
+        reinterpret_cast<const char*>(stored.data()), stored.size());
+    if (stored_name != name) {
+      throw std::runtime_error("tensor name mismatch: expected " + name +
+                               ", found " + std::string(stored_name));
     }
+    const auto& dims = tensor->shape().dims();
+    bool same_shape = in.ReadU32() == dims.size();
+    for (std::size_t i = 0; same_shape && i < dims.size(); ++i) {
+      same_shape = in.ReadScalar<std::int64_t>() == dims[i];
+    }
+    if (!same_shape) throw std::runtime_error("shape mismatch for " + name);
+    in.ReadInto(tensor->data(), tensor->byte_size());
   }
 }
 
-void ReadServerStateSection(CrcReader& body, ServerState* state) {
-  state->epoch = body.ReadScalar<std::uint64_t>();
-  state->next_step = body.ReadScalar<std::uint64_t>();
-  state->ps_state.resize(body.ReadScalar<std::uint32_t>());
-  body.Read(state->ps_state.data(), state->ps_state.size());
-  const auto workers = body.ReadScalar<std::uint32_t>();
-  state->evicted.resize(workers);
-  body.Read(state->evicted.data(), state->evicted.size());
-  state->greeted.resize(workers);
-  body.Read(state->greeted.data(), state->greeted.size());
-  state->replay.resize(body.ReadScalar<std::uint32_t>());
+void ReadStateSection(util::ByteReader& in, TrainState* state) {
+  state->next_step = in.ReadU64();
+  state->codec_state = ReadVector(in);
+  state->sampler_state = ReadVector(in);
+}
+
+void ReadServerStateSection(util::ByteReader& in, ServerState* state) {
+  state->epoch = in.ReadU64();
+  state->next_step = in.ReadU64();
+  state->ps_state = ReadVector(in);
+  state->evicted = ReadVector(in);
+  const util::ByteSpan greeted = in.ReadSpan(state->evicted.size());
+  state->greeted.assign(greeted.begin(), greeted.end());
+  // A ring step is at least u64 step | u32 frame count; a frame at least
+  // its u32 length.
+  state->replay.clear();
+  state->replay.resize(ReadCount(in, 12, "replay step"));
   for (auto& entry : state->replay) {
-    entry.step = body.ReadScalar<std::uint64_t>();
-    entry.frames.resize(body.ReadScalar<std::uint32_t>());
-    for (auto& frame : entry.frames) {
-      frame.resize(body.ReadScalar<std::uint32_t>());
-      body.Read(frame.data(), frame.size());
-    }
+    entry.step = in.ReadU64();
+    entry.frames.resize(ReadCount(in, 4, "replay frame"));
+    for (auto& frame : entry.frames) frame = ReadVector(in);
   }
+}
+
+void LoadModel(Model& model, TrainState* state, const std::string& path) {
+  LoadBody(path, kMagic, kVersionChecksum, kVersionTrainState, "checkpoint",
+           [&](std::uint32_t version, util::ByteReader& in) {
+             if (state != nullptr && version < kVersionTrainState) {
+               throw std::runtime_error(
+                   "version " + std::to_string(version) +
+                   " has no training-state section; cannot resume exactly");
+             }
+             ReadTensorSection(in, model);
+             if (version >= kVersionTrainState) {
+               TrainState discard;
+               ReadStateSection(in, state != nullptr ? state : &discard);
+             }
+           });
 }
 
 }  // namespace
 
-void SaveCheckpoint(Model& model, const std::string& path, bool checksum,
+void SaveCheckpoint(Model& model, const std::string& path,
                     const std::string& block_codec, util::Fs* fs) {
-  util::ByteBuffer blob(kBlobInitialBytes);
-  blob.Append(kMagic, sizeof(kMagic));
-  const std::uint32_t version = checksum ? kVersionChecksum : kVersionPlain;
-  blob.Append(&version, sizeof(version));
-
-  CrcWriter body{blob};
-  WriteTensorSection(body, model);
-  if (checksum) blob.Append(&body.crc, sizeof(body.crc));
+  util::ByteBuffer blob = BeginBlob(kMagic, kVersionChecksum);
+  AppendTensorSection(blob, model);
+  AppendTrailer(blob);
   WriteBlob(path, blob, block_codec, "checkpoint", fs);
 }
 
 void SaveCheckpointWithState(Model& model, const TrainState& state,
                              const std::string& path,
                              const std::string& block_codec, util::Fs* fs) {
-  util::ByteBuffer blob(kBlobInitialBytes);
-  blob.Append(kMagic, sizeof(kMagic));
-  const std::uint32_t version = kVersionTrainState;
-  blob.Append(&version, sizeof(version));
-
-  CrcWriter body{blob};
-  WriteTensorSection(body, model);
-  WriteStateSection(body, state);
-  blob.Append(&body.crc, sizeof(body.crc));
+  util::ByteBuffer blob = BeginBlob(kMagic, kVersionTrainState);
+  AppendTensorSection(blob, model);
+  AppendStateSection(blob, state);
+  AppendTrailer(blob);
   WriteBlob(path, blob, block_codec, "checkpoint", fs);
 }
 
 void LoadCheckpoint(Model& model, const std::string& path) {
-  LoadImpl(model, nullptr, /*require_state=*/false, path);
+  LoadModel(model, nullptr, path);
 }
 
 void LoadCheckpointState(Model& model, TrainState* state,
                          const std::string& path) {
-  LoadImpl(model, state, /*require_state=*/true, path);
+  LoadModel(model, state, path);
 }
 
 void SaveServerCheckpoint(Model& model, const ServerState& state,
                           const std::string& path,
                           const std::string& block_codec, util::Fs* fs) {
-  util::ByteBuffer blob(kBlobInitialBytes);
-  blob.Append(kServerMagic, sizeof(kServerMagic));
-  const std::uint32_t version = kServerVersion;
-  blob.Append(&version, sizeof(version));
-
-  CrcWriter body{blob};
-  WriteTensorSection(body, model);
-  WriteServerStateSection(body, state);
-  blob.Append(&body.crc, sizeof(body.crc));
+  util::ByteBuffer blob = BeginBlob(kServerMagic, kServerVersion);
+  AppendTensorSection(blob, model);
+  AppendServerStateSection(blob, state);
+  AppendTrailer(blob);
   WriteBlob(path, blob, block_codec, "server checkpoint", fs);
 }
 
 void LoadServerCheckpoint(Model& model, ServerState* state,
                           const std::string& path) {
-  const std::vector<std::uint8_t> bytes =
-      ReadCheckpointBytes(path, "server checkpoint");
-  std::istringstream in = MemoryStream(bytes);
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kServerMagic, sizeof(kServerMagic)) != 0) {
-    throw std::runtime_error("server checkpoint: bad magic in " + path);
-  }
-  const auto version = ReadScalarRaw<std::uint32_t>(in);
-  if (version != kServerVersion) {
-    throw std::runtime_error("server checkpoint: unsupported version " +
-                             std::to_string(version) + " in " + path);
-  }
-  CrcReader body{in};
-  ReadTensorSection(body, model);
-  ReadServerStateSection(body, state);
-  const auto stored = ReadScalarRaw<std::uint32_t>(in);
-  if (stored != body.crc) {
-    throw std::runtime_error("server checkpoint: CRC32C mismatch in " + path +
-                             " (file corrupt)");
-  }
+  LoadBody(path, kServerMagic, kServerVersion, kServerVersion,
+           "server checkpoint",
+           [&](std::uint32_t, util::ByteReader& in) {
+             ReadTensorSection(in, model);
+             ReadServerStateSection(in, state);
+           });
 }
 
 }  // namespace threelc::nn

@@ -7,30 +7,31 @@
 //   magic "3LCK" | u32 version | u32 tensor_count
 //   per tensor: u32 name_len | name bytes | u32 rank | i64 dims...
 //               | f32 data...
-//   version >= 3: training-state section after the tensors —
-//                 u64 next_step | u32 codec_state_len | codec state bytes
-//                 | u32 sampler_state_len | sampler state bytes
-//   version >= 2: u32 CRC32C trailer over every byte after the version
-//                 field (tensor_count through the end of the body)
+//   version 3: training-state section after the tensors —
+//              u64 next_step | u32 codec_state_len | codec state bytes
+//              | u32 sampler_state_len | sampler state bytes
+//   u32 CRC32C trailer over every byte after the version field
+//   (tensor_count through the end of the body)
 // Buffers (batch-norm running statistics) are stored after parameters
 // under the synthetic names "__buffer_<i>".
 //
-// Version 1 files (no checksum trailer) are still readable; version 2 is
-// written by default so bit rot in a checkpoint fails loudly at load time
-// instead of silently corrupting a resumed run. Version 3 additionally
-// carries the worker's mid-run training state — the codec's per-tensor
+// Version 2 carries the model alone; version 3 additionally carries the
+// worker's mid-run training state — the codec's per-tensor
 // error-accumulation buffers, the data-pipeline cursor, and the step
 // counter — so a crashed worker restarts with a bitwise-identical
 // trajectory instead of silently discarding accumulated quantization
 // error. LoadCheckpoint accepts a v3 file (skipping the state section);
-// LoadCheckpointState demands one.
+// LoadCheckpointState demands one. Any other version, including the
+// trailer-less version 1, is refused.
 //
 // Server checkpoints use a distinct magic "3LCS" (same framing: version,
 // CRC-protected body) and carry the parameter server's recurrence: model
 // tensors, the incarnation epoch, the next collect step, the
 // ParameterServer state blob (optimizer + prev_value + pull EA contexts),
 // the membership/greeted tables, and the verbatim pull-replay ring. See
-// ServerState below.
+// ServerState below; rpc::RpcServer keeps its live replay ring in this
+// same type, so a save serialises the ring in place and a resume moves
+// it back.
 //
 // Compressed container (optional): when a save is handed a block codec
 // other than "store" (blockcodec/block_codec.h), the complete "3LCK" /
@@ -38,13 +39,17 @@
 //   magic "3LCZ" | u32 container_version (2) | u8 codec_id
 //   | u64 raw_size | u32 raw_crc32c | u32 comp_size | comp bytes
 // Version 2 carries the compact rans table; any other version (1 had the
-// 512-byte table) is rejected. Loaders sniff the magic: "3LCZ" files are decoded first (rejecting
-// unknown codec ids, truncation, trailing bytes, and any disagreement
-// between raw_size/raw_crc32c and the decoded bytes — size and CRC are
-// cross-checked independently), then parsed as a bare checkpoint; files
-// without the container magic parse as before, so every pre-container
-// checkpoint stays loadable. A save whose compressed payload would not
+// 512-byte table) is rejected. A save whose compressed payload would not
 // be smaller than the bare stream skips the container entirely.
+//
+// Read order: a load reads the file once; a "3LCZ" file is unwrapped
+// first (rejecting unknown codec ids, truncation, trailing bytes, and any
+// disagreement between raw_size/raw_crc32c and the decoded bytes — size
+// and CRC are cross-checked independently). Then the magic and version
+// are checked and the trailer CRC is verified over the whole body BEFORE
+// any length field inside it is trusted; only then is the body parsed,
+// through a bounds-checked util::ByteReader, so a lying length throws
+// instead of allocating past the bytes present.
 //
 // All save paths write atomically (util::AtomicFileWriter: temp sibling +
 // fsync + rename + parent-dir fsync), so a crash mid-write leaves either
@@ -75,26 +80,23 @@ struct TrainState {
   std::vector<std::uint8_t> sampler_state;
 };
 
-// Writes all parameters and buffers of `model`. When `checksum` is true
-// (the default) the file carries a CRC32C trailer (format version 2);
-// false writes the legacy version-1 layout. `block_codec` names the
-// lossless block codec wrapping the file in the "3LCZ" container above
-// ("store", the default, writes the bare stream). Throws
-// std::runtime_error on I/O failure or an unknown codec name.
+// Writes all parameters and buffers of `model` (format version 2).
+// `block_codec` names the lossless block codec wrapping the file in the
+// "3LCZ" container above ("store", the default, writes the bare stream).
+// Throws std::runtime_error on I/O failure or an unknown codec name.
 void SaveCheckpoint(Model& model, const std::string& path,
-                    bool checksum = true,
                     const std::string& block_codec = "store",
                     util::Fs* fs = nullptr);
 
 // Restores a checkpoint written by SaveCheckpoint into an architecturally
-// identical model, verifying the CRC32C trailer when present. Throws
+// identical model, verifying the CRC32C trailer first. Throws
 // std::runtime_error on I/O failure, format corruption, checksum mismatch,
 // or architecture mismatch (name/shape disagreement). Accepts v3 files,
 // validating but discarding the training-state section.
 void LoadCheckpoint(Model& model, const std::string& path);
 
-// Writes a version-3 checkpoint: model tensors plus `state`, always with
-// the CRC32C trailer; `block_codec` as in SaveCheckpoint. Throws
+// Writes a version-3 checkpoint: model tensors plus `state`;
+// `block_codec` as in SaveCheckpoint. Throws
 // std::runtime_error on I/O failure or an unknown codec name.
 void SaveCheckpointWithState(Model& model, const TrainState& state,
                              const std::string& path,
@@ -126,7 +128,8 @@ struct ServerState {
   std::vector<std::uint8_t> evicted;
   std::vector<std::uint8_t> greeted;
   // Retained pull fan-out frames of recent steps, oldest first: each entry
-  // is one completed step's per-tensor encoded frame bytes.
+  // is one completed step's per-tensor encoded frame bytes. This is the
+  // server's live replay ring, not a copy of it.
   struct ReplayStep {
     std::uint64_t step = 0;
     std::vector<std::vector<std::uint8_t>> frames;

@@ -1,7 +1,5 @@
 #include "nn/checkpoint_manager.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <stdexcept>
@@ -23,11 +21,6 @@ std::string DirOf(const std::string& path) {
 std::string BaseOf(const std::string& path) {
   const std::size_t slash = path.rfind('/');
   return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
 }
 
 }  // namespace
@@ -98,9 +91,6 @@ bool CheckpointManager::Load(Model& model, ServerState* state,
   for (auto it = generations_.rbegin(); it != generations_.rend(); ++it) {
     candidates.push_back(GenerationPath(*it));
   }
-  // Checkpoints written before generations existed live at the bare
-  // path; try it last so an upgraded server still resumes from them.
-  if (FileExists(options_.path)) candidates.push_back(options_.path);
 
   for (const std::string& candidate : candidates) {
     ServerState scratch;

@@ -7,8 +7,8 @@
 // bound; Load() verifies the newest generation (container/CRC checks in
 // checkpoint.cc) and falls back to the previous good one when it is
 // torn, truncated, or corrupt — ending at a clean "no usable checkpoint"
-// error only when every generation (and a legacy bare-path file, for
-// checkpoints written before generations existed) is bad.
+// error only when every generation is bad. A file at the bare path
+// itself is not a generation and is never read.
 //
 // Why fallback is bitwise-safe: the server checkpoint is write-ahead —
 // RpcServer::RunStep persists the post-step-s state (as generation g_s)
@@ -63,7 +63,7 @@ class CheckpointManager {
   void Save(Model& model, const ServerState& state);
 
   // Restore the newest usable generation into model/*state, falling back
-  // generation by generation (then to a legacy bare-path file). Returns
+  // generation by generation. Returns
   // false with *error set when nothing is usable; the number of skipped
   // generations is in fallbacks() and their reasons in fallback_log().
   bool Load(Model& model, ServerState* state, std::string* error);

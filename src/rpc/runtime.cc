@@ -596,7 +596,9 @@ void RpcServer::HandleRejoin(Connection& conn, const Frame& frame) {
   }
   if (next_step < current_step_) {
     const std::int64_t oldest =
-        replay_.empty() ? current_step_ : replay_.front().first;
+        recovery_.replay.empty()
+            ? current_step_
+            : static_cast<std::int64_t>(recovery_.replay.front().step);
     if (next_step < oldest) {
       reject("replay window exceeded: worker needs step " +
              std::to_string(next_step) + " but the oldest retained step is " +
@@ -623,10 +625,11 @@ void RpcServer::HandleRejoin(Connection& conn, const Frame& frame) {
   // identical, since its state is deterministic) and only needs the
   // server's side of each barrier.
   std::size_t frames = 0;
-  for (const auto& [step, tensors] : replay_) {
+  for (const nn::ServerState::ReplayStep& entry : recovery_.replay) {
+    const auto step = static_cast<std::int64_t>(entry.step);
     if (step < next_step || step >= current_step_) continue;
-    for (const util::ByteBuffer& bytes : tensors) {
-      if (!conn.SendEncoded(bytes.span(), 1)) {
+    for (const std::vector<std::uint8_t>& bytes : entry.frames) {
+      if (!conn.SendEncoded(bytes, 1)) {
         Fail("replaying step " + std::to_string(step) + " to worker " +
              std::to_string(worker_id) + ": " + conn.last_error());
         return;
@@ -992,7 +995,9 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
                       .profiler = prof, .stage = "encode",
                       .ms = &encode_ms});
     ps_->PreparePulls();
-    std::vector<util::ByteBuffer> step_frames(num_tensors);
+    nn::ServerState::ReplayStep entry;
+    entry.step = static_cast<std::uint64_t>(step);
+    entry.frames.reserve(num_tensors);
     for (std::size_t t = 0; t < num_tensors; ++t) {
       util::ByteSpan payload = ps_->PullPayload(t);
       pull_stage1_bytes += payload.size();
@@ -1008,17 +1013,19 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
         payload = enveloped.span();
       }
       pull_payload_bytes += payload.size();
+      util::ByteBuffer frame;
       EncodeFrame(MsgType::kPull, static_cast<std::uint64_t>(step),
-                  static_cast<std::uint32_t>(t), payload, step_frames[t]);
+                  static_cast<std::uint32_t>(t), payload, frame);
+      entry.frames.push_back(frame.Release());
     }
     // Retain the encoded frames BEFORE any byte leaves (one extra entry
     // even with replay_steps == 0, dropped after fan-out): the write-ahead
     // checkpoint below must carry exactly what the fan-out is about to
     // send, so a server restored from it replays byte-identical pulls.
-    replay_.emplace_back(step, std::move(step_frames));
-    while (replay_.size() > std::max<std::size_t>(max_replay, 1)) {
-      replay_.pop_front();
-    }
+    std::vector<nn::ServerState::ReplayStep>& ring = recovery_.replay;
+    ring.push_back(std::move(entry));
+    const std::size_t keep = std::max<std::size_t>(max_replay, 1);
+    if (ring.size() > keep) ring.erase(ring.begin(), ring.end() - keep);
   }
   const double codec_seconds = decode_cpu_s + encode_cpu.ElapsedSeconds();
 
@@ -1038,12 +1045,13 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
     obs::Phase phase({.tracer = tracer, .span = "rpc/fan_out", .step = step,
                       .profiler = prof, .stage = "fan_out",
                       .ms = &fanout_ms});
-    const std::vector<util::ByteBuffer>& fanout = replay_.back().second;
+    const std::vector<std::vector<std::uint8_t>>& fanout =
+        recovery_.replay.back().frames;
     for (std::size_t t = 0; t < num_tensors; ++t) {
       for (std::size_t w : contributors) {
         if (member_state_[w] != Member::kActive) continue;  // died mid-fan-out
         Connection* conn = worker_conns_[w];
-        if (conn != nullptr && conn->SendEncoded(fanout[t].span(), 1)) {
+        if (conn != nullptr && conn->SendEncoded(fanout[t], 1)) {
           continue;
         }
         // A killserver rule on the step's first PULL frame fires between
@@ -1062,7 +1070,7 @@ bool RpcServer::RunStep(std::int64_t step, float lr) {
         if (failed_) return false;
       }
     }
-    if (max_replay == 0) replay_.clear();
+    if (max_replay == 0) recovery_.replay.clear();
   }
 
   // Accept the next step's pushes before blocking on anything else — a
@@ -1270,28 +1278,19 @@ bool RpcServer::WriteCheckpoint(std::int64_t next_step, bool force) {
       static_cast<std::int64_t>(std::max(config_.checkpoint_every, 1));
   if (!force && next_step % every != 0) return true;
 
-  nn::ServerState state;
+  // The replay ring is already in place; refresh the rest.
+  nn::ServerState& state = recovery_;
   state.epoch = epoch_;
   state.next_step = static_cast<std::uint64_t>(std::max<std::int64_t>(
       next_step, 0));
   util::ByteBuffer ps_blob;
   ps_->SaveState(ps_blob);
-  state.ps_state.assign(ps_blob.data(), ps_blob.data() + ps_blob.size());
+  state.ps_state = ps_blob.Release();
   state.evicted.resize(member_state_.size());
   state.greeted.resize(greeted_.size());
   for (std::size_t w = 0; w < member_state_.size(); ++w) {
     state.evicted[w] = member_state_[w] == Member::kEvicted ? 1 : 0;
     state.greeted[w] = greeted_[w] ? 1 : 0;
-  }
-  state.replay.reserve(replay_.size());
-  for (const auto& [step, tensors] : replay_) {
-    nn::ServerState::ReplayStep rs;
-    rs.step = static_cast<std::uint64_t>(step);
-    rs.frames.reserve(tensors.size());
-    for (const util::ByteBuffer& bytes : tensors) {
-      rs.frames.emplace_back(bytes.data(), bytes.data() + bytes.size());
-    }
-    state.replay.push_back(std::move(rs));
   }
   // Degraded-but-alive storage posture: a failed write is retried with a
   // linear backoff, and exhaustion degrades the run (recovery is at risk
@@ -1422,18 +1421,7 @@ bool RpcServer::ResumeFromCheckpoint(const std::string& path,
                                              : Member::kActive;
     greeted_[w] = state.greeted[w] != 0;
   }
-  replay_.clear();
-  for (const nn::ServerState::ReplayStep& rs : state.replay) {
-    std::vector<util::ByteBuffer> tensors;
-    tensors.reserve(rs.frames.size());
-    for (const std::vector<std::uint8_t>& bytes : rs.frames) {
-      util::ByteBuffer frame;
-      frame.Append(bytes.data(), bytes.size());
-      tensors.push_back(std::move(frame));
-    }
-    replay_.emplace_back(static_cast<std::int64_t>(rs.step),
-                         std::move(tensors));
-  }
+  recovery_ = std::move(state);
   resumed_ = true;
   PublishStorageHealth();
   THREELC_LOG(Info) << "rpc server: resumed from checkpoint '"

@@ -60,7 +60,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -69,6 +68,7 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "nn/checkpoint.h"
 #include "ps/plan.h"
 #include "ps/server.h"
 #include "ps/worker.h"
@@ -348,9 +348,13 @@ class RpcServer {
   // Disconnect instants, meaningful only while kWaiting.
   std::vector<std::chrono::steady_clock::time_point> dead_since_;
   std::vector<bool> greeted_;  // ever completed HELLO or REJOIN
-  // Retained pull fan-out frames: replay_[i] holds the per-tensor encoded
-  // frame bytes of a completed step, bounded to config_.replay_steps.
-  std::deque<std::pair<std::int64_t, std::vector<util::ByteBuffer>>> replay_;
+  // The checkpoint's own state type. recovery_.replay is the pull-replay
+  // ring: each completed step's per-tensor encoded frames, oldest first,
+  // bounded to config_.replay_steps. Fan-out, rejoin replay and
+  // WriteCheckpoint read it in place; WriteCheckpoint refreshes the other
+  // fields before each save, and ResumeFromCheckpoint moves a loaded state
+  // in.
+  nn::ServerState recovery_;
   std::size_t rejoins_ = 0;
   std::size_t evictions_ = 0;
   std::size_t replayed_frames_ = 0;

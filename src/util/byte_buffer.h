@@ -11,6 +11,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace threelc::util {
@@ -36,6 +37,9 @@ class ByteBuffer {
   // heap bytes onto the wire. Callers that build payloads incrementally
   // should use the Append*/Push APIs instead of Resize + data().
   void Resize(std::size_t n) { data_.resize(n); }
+
+  // Hands the bytes over without copying; the buffer is left empty.
+  std::vector<std::uint8_t> Release() { return std::exchange(data_, {}); }
 
   void PushByte(std::uint8_t b) { data_.push_back(b); }
 

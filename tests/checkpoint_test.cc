@@ -3,15 +3,71 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <new>
 
 #include "nn/checkpoint.h"
 #include "nn/checkpoint_manager.h"
 #include "tensor/tensor_ops.h"
 #include "train/model_zoo.h"
 #include "util/atomic_file.h"
+#include "util/crc32.h"
 #include "util/fs.h"
 #include "util/rng.h"
+
+// Allocation probe: the largest single allocation made while armed, so a
+// test can show a parser never sizes a buffer from a length the file lies
+// about. Every non-aligned operator new/delete form is replaced, so the
+// pairing stays malloc/free throughout. Sanitizer runtimes own operator
+// new themselves, so sanitized builds leave it alone and skip the probe.
+#if defined(__SANITIZE_ADDRESS__)
+#define THREELC_ALLOCATION_PROBE 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define THREELC_ALLOCATION_PROBE 0
+#endif
+#endif
+#ifndef THREELC_ALLOCATION_PROBE
+#define THREELC_ALLOCATION_PROBE 1
+#endif
+
+namespace {
+bool g_probe_armed = false;
+std::size_t g_probe_largest = 0;
+}  // namespace
+
+#if THREELC_ALLOCATION_PROBE
+namespace {
+void* ProbedAlloc(std::size_t n) {
+  if (g_probe_armed && n > g_probe_largest) g_probe_largest = n;
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* ProbedNew(std::size_t n) {
+  if (void* p = ProbedAlloc(n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return ProbedNew(n); }
+void* operator new[](std::size_t n) { return ProbedNew(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return ProbedAlloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return ProbedAlloc(n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+#endif
 
 namespace threelc {
 namespace {
@@ -110,7 +166,7 @@ TEST(Checkpoint, TruncatedFileThrows) {
 TEST(Checkpoint, ChecksumRoundTripLoads) {
   auto model = train::BuildMlp(Spec(), 7);
   const std::string path = TempPath("ckpt_crc_roundtrip.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true);
+  nn::SaveCheckpoint(model, path);
   auto restored = train::BuildMlp(Spec(), 8);
   nn::LoadCheckpoint(restored, path);
   util::Rng rng(9);
@@ -125,7 +181,7 @@ TEST(Checkpoint, ChecksumRoundTripLoads) {
 TEST(Checkpoint, ChecksumDetectsFlippedPayloadByte) {
   auto model = train::BuildMlp(Spec(), 7);
   const std::string path = TempPath("ckpt_crc_corrupt.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true);
+  nn::SaveCheckpoint(model, path);
 
   // Flip one byte in the middle of the tensor data region.
   std::ifstream in(path, std::ios::binary);
@@ -144,34 +200,59 @@ TEST(Checkpoint, ChecksumDetectsFlippedPayloadByte) {
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, V1FileWithoutChecksumStillLoads) {
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Loads `path` with `load`, which must throw std::runtime_error whose
+// message contains `want` and names the file.
+template <typename Load>
+void ExpectRejected(const std::string& path, const std::string& want,
+                    Load load) {
+  try {
+    load();
+    ADD_FAILURE() << path << " loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(want), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+  }
+}
+
+// The trailer-less version-1 layout is refused by the version check.
+TEST(Checkpoint, V1FileIsRejected) {
   auto model = train::BuildMlp(Spec(), 7);
-  const std::string path = TempPath("ckpt_v1_compat.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/false);
+  const std::string path = TempPath("ckpt_v1.bin");
+  nn::SaveCheckpoint(model, path);
+  std::string bytes = ReadFileBytes(path);
+  bytes[4] = 1;                      // u32 version 2 -> 1
+  bytes.resize(bytes.size() - 4);    // and no trailer, as v1 wrote it
+  WriteFileBytes(path, bytes);
   auto restored = train::BuildMlp(Spec(), 8);
-  EXPECT_NO_THROW(nn::LoadCheckpoint(restored, path));
-  util::Rng rng(9);
-  tensor::Tensor in(tensor::Shape{4, 6});
-  tensor::FillNormal(in, rng, 0.0f, 1.0f);
-  EXPECT_EQ(tensor::MaxAbsDiff(model.Forward(in, false),
-                               restored.Forward(in, false)),
-            0.0f);
+  ExpectRejected(path, "unsupported version 1",
+                 [&] { nn::LoadCheckpoint(restored, path); });
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, ChecksumFileIsLargerByTrailer) {
+// A version-2 file cut at its trailer fails the CRC check: the last four
+// body bytes are read as the trailer and do not match.
+TEST(Checkpoint, MissingTrailerIsRejected) {
   auto model = train::BuildMlp(Spec(), 7);
-  const std::string with = TempPath("ckpt_with_crc.bin");
-  const std::string without = TempPath("ckpt_without_crc.bin");
-  nn::SaveCheckpoint(model, with, /*checksum=*/true);
-  nn::SaveCheckpoint(model, without, /*checksum=*/false);
-  auto size_of = [](const std::string& p) {
-    std::ifstream f(p, std::ios::binary | std::ios::ate);
-    return static_cast<std::size_t>(f.tellg());
-  };
-  EXPECT_GT(size_of(with), size_of(without));
-  std::remove(with.c_str());
-  std::remove(without.c_str());
+  const std::string path = TempPath("ckpt_no_trailer.bin");
+  nn::SaveCheckpoint(model, path);
+  const std::string bytes = ReadFileBytes(path);
+  WriteFileBytes(path, bytes.substr(0, bytes.size() - 4));
+  auto restored = train::BuildMlp(Spec(), 8);
+  ExpectRejected(path, "CRC32C mismatch",
+                 [&] { nn::LoadCheckpoint(restored, path); });
+  std::remove(path.c_str());
 }
 
 // ---------- v3 training state ----------
@@ -355,6 +436,71 @@ TEST(ServerCheckpoint, FlippedByteIsRejected) {
   std::remove(path.c_str());
 }
 
+// Offsets from the end of a MakeServerState() file, inside its last ring
+// step (step 16: u64 step | u32 frame count 2 | u32 1 | 1 byte | u32 3 |
+// 3 bytes), followed by the u32 trailer.
+constexpr std::size_t kLastStepFrameCountFromEnd = 4 + 3 + 4 + 1 + 4 + 4;
+constexpr std::size_t kLastFrameLengthFromEnd = 4 + 3 + 4;
+
+bool SameParams(nn::Model& a, nn::Model& b) {
+  auto pa = a.Params();
+  auto pb = b.Params();
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    if (tensor::MaxAbsDiff(*pa[i].value, *pb[i].value) != 0.0f) return false;
+  }
+  return true;
+}
+
+// The CRC is verified before any length field is trusted: a frame count
+// raised by 2^24 (CRC left stale) fails the CRC check, naming the file,
+// and the model is left untouched.
+TEST(ServerCheckpoint, LyingFrameCountFailsTheCrcFirst) {
+  auto model = train::BuildMlp(Spec(), 7);
+  const std::string path = TempPath("sckpt_frame_count.bin");
+  nn::SaveServerCheckpoint(model, MakeServerState(), path);
+  std::string bytes = ReadFileBytes(path);
+  const std::size_t field = bytes.size() - kLastStepFrameCountFromEnd;
+  ASSERT_EQ(bytes.substr(field, 4), std::string("\x02\0\0\0", 4));
+  bytes[field + 3] = 1;  // + 2^24
+  WriteFileBytes(path, bytes);
+  auto victim = train::BuildMlp(Spec(), 8);
+  nn::ServerState state;
+  ExpectRejected(path, "CRC32C mismatch",
+                 [&] { nn::LoadServerCheckpoint(victim, &state, path); });
+  auto untouched = train::BuildMlp(Spec(), 8);
+  EXPECT_TRUE(SameParams(victim, untouched));
+  std::remove(path.c_str());
+}
+
+// Past the CRC, every length is bounds-checked against the bytes present:
+// a frame length pointing 64 MiB past the end (CRC fixed up to match)
+// throws without allocating anything near the declared length.
+TEST(ServerCheckpoint, FrameLengthPastTheEndThrowsWithoutAllocating) {
+  auto model = train::BuildMlp(Spec(), 7);
+  const std::string path = TempPath("sckpt_frame_len.bin");
+  nn::SaveServerCheckpoint(model, MakeServerState(), path);
+  std::string bytes = ReadFileBytes(path);
+  const std::size_t field = bytes.size() - kLastFrameLengthFromEnd;
+  ASSERT_EQ(bytes.substr(field, 4), std::string("\x03\0\0\0", 4));
+  const std::uint32_t declared = std::uint32_t{1} << 26;
+  std::memcpy(&bytes[field], &declared, sizeof(declared));
+  const std::uint32_t crc = util::Crc32c(bytes.data() + 8, bytes.size() - 12);
+  std::memcpy(&bytes[bytes.size() - 4], &crc, sizeof(crc));
+  WriteFileBytes(path, bytes);
+
+  auto victim = train::BuildMlp(Spec(), 8);
+  nn::ServerState state;
+  g_probe_largest = 0;
+  g_probe_armed = true;
+  EXPECT_THROW(nn::LoadServerCheckpoint(victim, &state, path),
+               std::runtime_error);
+  g_probe_armed = false;
+  if (THREELC_ALLOCATION_PROBE) {
+    EXPECT_LT(g_probe_largest, std::size_t{1} << 20);
+  }
+  std::remove(path.c_str());
+}
+
 // The two record types must not be confusable: a worker checkpoint is not
 // a server checkpoint and vice versa.
 TEST(ServerCheckpoint, MagicSeparatesWorkerAndServerRecords) {
@@ -373,17 +519,6 @@ TEST(ServerCheckpoint, MagicSeparatesWorkerAndServerRecords) {
 }
 
 // ---------- 3LCZ compressed container ----------
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
 
 // A model whose tensor bytes are trivially compressible, so every codec
 // shrinks the blob and the save is guaranteed to emit the container (the
@@ -418,7 +553,7 @@ TEST(CompressedCheckpoint, RoundTripEveryCodecBitwiseExact) {
 
   for (const char* codec : {"lz", "rans", "lz+rans"}) {
     const std::string path = TempPath("zckpt_roundtrip.bin");
-    nn::SaveCheckpoint(model, path, /*checksum=*/true, codec);
+    nn::SaveCheckpoint(model, path, codec);
     const std::string bytes = ReadFileBytes(path);
     EXPECT_TRUE(HasContainerMagic(bytes)) << codec;
     EXPECT_LT(bytes.size(), bare_size) << codec;
@@ -440,7 +575,7 @@ TEST(CompressedCheckpoint, RoundTripEveryCodecBitwiseExact) {
 TEST(CompressedCheckpoint, StoreCodecWritesBareFile) {
   auto model = CompressibleModel(7);
   const std::string path = TempPath("zckpt_store.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true, "store");
+  nn::SaveCheckpoint(model, path, "store");
   EXPECT_FALSE(HasContainerMagic(ReadFileBytes(path)));
   auto restored = train::BuildMlp(Spec(), 8);
   EXPECT_NO_THROW(nn::LoadCheckpoint(restored, path));
@@ -450,7 +585,7 @@ TEST(CompressedCheckpoint, StoreCodecWritesBareFile) {
 TEST(CompressedCheckpoint, UnknownCodecNameThrowsOnSave) {
   auto model = CompressibleModel(7);
   EXPECT_THROW(nn::SaveCheckpoint(model, TempPath("zckpt_unknown.bin"),
-                                  /*checksum=*/true, "zstd"),
+                                  "zstd"),
                std::runtime_error);
 }
 
@@ -490,7 +625,7 @@ TEST(CompressedCheckpoint, V3StateAndServerRecordsRoundTrip) {
 TEST(CompressedCheckpoint, DeclaredSizeMismatchIsRejected) {
   auto model = CompressibleModel(7);
   const std::string path = TempPath("zckpt_size.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true, "lz+rans");
+  nn::SaveCheckpoint(model, path, "lz+rans");
   std::string bytes = ReadFileBytes(path);
   ASSERT_TRUE(HasContainerMagic(bytes));
   bytes[kRawSizeOffset] ^= 0x01;  // raw_size off by one
@@ -503,7 +638,7 @@ TEST(CompressedCheckpoint, DeclaredSizeMismatchIsRejected) {
 TEST(CompressedCheckpoint, DeclaredCrcMismatchIsRejected) {
   auto model = CompressibleModel(7);
   const std::string path = TempPath("zckpt_crc.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true, "lz+rans");
+  nn::SaveCheckpoint(model, path, "lz+rans");
   std::string bytes = ReadFileBytes(path);
   ASSERT_TRUE(HasContainerMagic(bytes));
   bytes[kRawCrcOffset] ^= 0x01;  // container CRC no longer matches
@@ -516,7 +651,7 @@ TEST(CompressedCheckpoint, DeclaredCrcMismatchIsRejected) {
 TEST(CompressedCheckpoint, UnknownCodecIdIsRejected) {
   auto model = CompressibleModel(7);
   const std::string path = TempPath("zckpt_badid.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true, "lz+rans");
+  nn::SaveCheckpoint(model, path, "lz+rans");
   std::string bytes = ReadFileBytes(path);
   ASSERT_TRUE(HasContainerMagic(bytes));
   bytes[kCodecIdOffset] = static_cast<char>(0xEE);
@@ -532,7 +667,7 @@ TEST(CompressedCheckpoint, UnknownCodecIdIsRejected) {
 TEST(CompressedCheckpoint, OtherContainerVersionsAreRejected) {
   auto model = CompressibleModel(7);
   const std::string path = TempPath("zckpt_version.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true, "rans");
+  nn::SaveCheckpoint(model, path, "rans");
   const std::string bytes = ReadFileBytes(path);
   ASSERT_TRUE(HasContainerMagic(bytes));
   EXPECT_EQ(bytes.substr(kVersionOffset, 4), std::string("\x02\0\0\0", 4));
@@ -557,7 +692,7 @@ TEST(CompressedCheckpoint, OtherContainerVersionsAreRejected) {
 TEST(CompressedCheckpoint, ImplausibleRawSizeIsRejected) {
   auto model = CompressibleModel(7);
   const std::string path = TempPath("zckpt_hugesize.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true, "lz+rans");
+  nn::SaveCheckpoint(model, path, "lz+rans");
   std::string bytes = ReadFileBytes(path);
   ASSERT_TRUE(HasContainerMagic(bytes));
   for (int i = 0; i < 8; ++i) {
@@ -590,7 +725,7 @@ TEST(CompressedCheckpoint, TruncationSweepIsRejected) {
 TEST(CompressedCheckpoint, TrailingGarbageIsRejected) {
   auto model = CompressibleModel(7);
   const std::string path = TempPath("zckpt_trailing.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true, "lz+rans");
+  nn::SaveCheckpoint(model, path, "lz+rans");
   std::string bytes = ReadFileBytes(path);
   ASSERT_TRUE(HasContainerMagic(bytes));
   bytes += "extra";
@@ -603,7 +738,7 @@ TEST(CompressedCheckpoint, TrailingGarbageIsRejected) {
 TEST(CompressedCheckpoint, CompressedPayloadFlipIsRejected) {
   auto model = CompressibleModel(7);
   const std::string path = TempPath("zckpt_payload_flip.bin");
-  nn::SaveCheckpoint(model, path, /*checksum=*/true, "lz+rans");
+  nn::SaveCheckpoint(model, path, "lz+rans");
   std::string bytes = ReadFileBytes(path);
   ASSERT_TRUE(HasContainerMagic(bytes));
   bytes[bytes.size() / 2] ^= 0x04;
@@ -837,10 +972,10 @@ TEST(CheckpointManager, NoFilesAtAllIsACleanError) {
   EXPECT_NE(error.find("no usable checkpoint"), std::string::npos) << error;
 }
 
-// Checkpoints written before generations existed live at the bare path;
-// Load must still find them after every generation file is exhausted.
-TEST(CheckpointManager, LegacyBarePathIsTheFinalFallback) {
-  const std::string path = TempPath("mgr_legacy.sckpt");
+// Only generation files are candidates: a checkpoint at the bare path is
+// never read.
+TEST(CheckpointManager, BarePathFileIsNotLoaded) {
+  const std::string path = TempPath("mgr_bare.sckpt");
   RemoveGenerations(path);
   auto model = train::BuildMlp(Spec(), 7);
   nn::SaveServerCheckpoint(model, NumberedState(41), path);
@@ -848,9 +983,9 @@ TEST(CheckpointManager, LegacyBarePathIsTheFinalFallback) {
   auto restored = train::BuildMlp(Spec(), 8);
   nn::ServerState state;
   std::string error;
-  ASSERT_TRUE(mgr.Load(restored, &state, &error)) << error;
-  EXPECT_EQ(state.epoch, 41u);
-  EXPECT_EQ(mgr.loaded_path(), path);
+  EXPECT_FALSE(mgr.Load(restored, &state, &error));
+  EXPECT_NE(error.find("no generations found"), std::string::npos) << error;
+  EXPECT_TRUE(mgr.loaded_path().empty());
   RemoveGenerations(path);
 }
 
@@ -879,6 +1014,94 @@ TEST(CheckpointManager, SaveThrowsOnInjectedDiskFull) {
   retry.Save(model, NumberedState(0));
   EXPECT_FALSE(SlurpFile(retry.GenerationPath(0)).empty());
   RemoveGenerations(path);
+}
+
+// ---------- golden bytes: the writer's output is pinned ----------
+
+// Every tensor value and state byte is a formula of its index, so these
+// files depend on the checkpoint writer alone, not on an initializer.
+nn::Model GoldenModel() {
+  auto model = train::BuildMlp(Spec(), 1);
+  std::vector<tensor::Tensor*> tensors;
+  for (auto& p : model.Params()) tensors.push_back(p.value);
+  for (tensor::Tensor* b : model.Buffers()) tensors.push_back(b);
+  for (std::size_t k = 0; k < tensors.size(); ++k) {
+    float* data = tensors[k]->data();
+    for (std::int64_t i = 0; i < tensors[k]->num_elements(); ++i) {
+      const auto step = (i * 37 + static_cast<std::int64_t>(k) * 11) % 101;
+      data[i] = static_cast<float>(step) / 64.0f - 0.75f;
+    }
+  }
+  return model;
+}
+
+std::vector<std::uint8_t> GoldenBytes(std::size_t n, std::size_t salt) {
+  std::vector<std::uint8_t> bytes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<std::uint8_t>((i * 7 + salt) % 13 * 19);
+  }
+  return bytes;
+}
+
+nn::TrainState GoldenTrainState() {
+  nn::TrainState state;
+  state.next_step = 41;
+  state.codec_state = GoldenBytes(96, 1);
+  state.sampler_state = GoldenBytes(24, 2);
+  return state;
+}
+
+nn::ServerState GoldenServerState() {
+  nn::ServerState state;
+  state.epoch = 4;
+  state.next_step = 9;
+  state.ps_state = GoldenBytes(300, 3);
+  state.evicted = {0, 0, 1};
+  state.greeted = {1, 1, 1};
+  for (std::uint64_t step : {7, 8}) {
+    nn::ServerState::ReplayStep entry;
+    entry.step = step;
+    entry.frames = {GoldenBytes(40, step), GoldenBytes(0, step),
+                    GoldenBytes(180, step + 5)};
+    state.replay.push_back(std::move(entry));
+  }
+  return state;
+}
+
+// CRC32C of whole files, recorded from the writer. The layout is an
+// on-disk format: a change to any of these values is a format change and
+// needs a version bump, not a new constant.
+struct GoldenFile {
+  const char* codec;
+  std::uint32_t train_state_crc;  // SaveCheckpointWithState
+  std::uint32_t server_crc;       // SaveServerCheckpoint
+};
+constexpr GoldenFile kGoldenFiles[] = {
+    {"store", 0x62ba3344u, 0xdcac6213u},
+    {"lz", 0xcb045b6bu, 0x74f56484u},
+    {"lz+rans", 0xe5008178u, 0x3ca73e32u},
+};
+
+TEST(CheckpointGolden, FilesAreByteIdenticalToTheRecordedWriter) {
+  auto model = GoldenModel();
+  const std::string path = TempPath("golden.bin");
+  for (const GoldenFile& golden : kGoldenFiles) {
+    const bool wrapped = std::string(golden.codec) != "store";
+    nn::SaveCheckpointWithState(model, GoldenTrainState(), path,
+                                golden.codec);
+    std::string bytes = ReadFileBytes(path);
+    EXPECT_EQ(HasContainerMagic(bytes), wrapped) << golden.codec;
+    EXPECT_EQ(util::Crc32c(bytes.data(), bytes.size()),
+              golden.train_state_crc)
+        << golden.codec;
+
+    nn::SaveServerCheckpoint(model, GoldenServerState(), path, golden.codec);
+    bytes = ReadFileBytes(path);
+    EXPECT_EQ(HasContainerMagic(bytes), wrapped) << golden.codec;
+    EXPECT_EQ(util::Crc32c(bytes.data(), bytes.size()), golden.server_crc)
+        << golden.codec;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

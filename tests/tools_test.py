@@ -15,11 +15,14 @@ Covers:
     input, duplicate family declarations, duplicate series, and (with
     --max-workers) unbounded worker-label cardinality in cluster families,
   - run_report.py: joins a /clusterz snapshot with a server step log and
-    names the straggler with its dominant cause.
+    names the straggler with its dominant cause,
+  - examples/distributed_training (path in THREELC_DISTRIBUTED_TRAINING,
+    set by ctest): a missing --state-dir is refused at startup.
 """
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -516,6 +519,33 @@ class RunReportTest(unittest.TestCase):
                          ["--clusterz", cpath, "--server-log", lpath])
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertNotIn("-- storage", r.stdout)
+
+
+DISTRIBUTED_TRAINING = os.environ.get("THREELC_DISTRIBUTED_TRAINING")
+
+
+@unittest.skipUnless(DISTRIBUTED_TRAINING,
+                     "THREELC_DISTRIBUTED_TRAINING not set")
+class DistributedTrainingFlagsTest(unittest.TestCase):
+    def test_missing_state_dir_is_refused_at_startup(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            missing = os.path.join(tmp, "no-such-dir")
+            # Own process group, so a binary that starts its workers anyway is
+            # killed with all of them when the deadline passes.
+            proc = subprocess.Popen(
+                [DISTRIBUTED_TRAINING, "--steps", "6", "--kill-step", "3",
+                 "--state-dir", missing],
+                cwd=tmp, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, start_new_session=True)
+            try:
+                _, err = proc.communicate(timeout=5)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                self.fail("a missing --state-dir was not refused within 5 s")
+        self.assertNotEqual(proc.returncode, 0)
+        self.assertIn("--state-dir", err)
+        self.assertIn(missing, err)
 
 
 if __name__ == "__main__":
